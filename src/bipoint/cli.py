@@ -362,7 +362,7 @@ def cmd_bound_point(args) -> int:
         "violations": report_obj.violations,
     }
     _emit(report, args)
-    return 0
+    return 1 if report_obj.violations else 0
 
 
 # --- suite ------------------------------------------------------------------

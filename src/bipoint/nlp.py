@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -48,6 +49,11 @@ class NlpModel:
     def class_keys(self) -> list:
         return [(z, x, y) for z in "BC"
                 for x in range(1, self.m + 1) for y in range(1, self.m + 1)]
+
+    @cached_property
+    def thresholds(self) -> list:
+        """``threshold_floats(g_bounds)``, computed on first use."""
+        return threshold_floats(self.g_bounds)
 
 
 def model_for_table(table: str, g_inner) -> NlpModel:
@@ -87,9 +93,29 @@ def _p_bounds(pbox) -> tuple:
     return pbox.lo, pbox.hi
 
 
-def relaxed_cost_coeffs(pboxes: dict, g_bounds, m: int) -> dict:
+def threshold_floats(g_bounds) -> list:
+    """Per level x = 1..m, the float images of the threshold constants the
+    relaxed cost uses: (g_{x-1}, 1/g_{x-1} - 1, g_x, 1 - g_x).
+
+    Each is evaluated exactly as written and rounded once, which is what
+    mixing an exact ``Fraction`` threshold into float arithmetic does, so the
+    coefficients match the mixed arithmetic bit for bit.  Level 1 has no
+    1/g_0 term.
+    """
+    out = []
+    for x in range(1, len(g_bounds)):
+        lo, hi = g_bounds[x - 1], g_bounds[x]
+        out.append((float(lo), float(1 / lo - 1) if x > 1 else None,
+                    float(hi), float(1 - hi)))
+    return out
+
+
+def relaxed_cost_coeffs(pboxes: dict, thresholds, m: int) -> dict:
     """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}) per client
-    class, with each p / (1-p) occurrence relaxed independently."""
+    class, with each p / (1-p) occurrence relaxed independently.
+
+    ``thresholds`` is ``threshold_floats(g_bounds)``.
+    """
     p0 = {}
     p1 = {}
     for W, pb in pboxes.items():
@@ -97,6 +123,7 @@ def relaxed_cost_coeffs(pboxes: dict, g_bounds, m: int) -> dict:
     out = {}
     for z in "BC":
         for x in range(1, m + 1):
+            g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
             minb0 = min([p0[f"B{s}"] for s in range(1, x + 1)], default=1.0)
             for y in range(1, m + 1):
                 pa0 = p0[f"A{x}"]
@@ -106,12 +133,11 @@ def relaxed_cost_coeffs(pboxes: dict, g_bounds, m: int) -> dict:
                     if x == 1:
                         k = q
                     elif y <= x:
-                        k = q / g_bounds[x - 1]
+                        k = q / g_prev
                     else:
-                        k = q * (1 + (1 / g_bounds[x - 1] - 1) * (1 - minb0))
+                        k = q * (1 + inv_g_prev_m1 * (1 - minb0))
                 else:
-                    gx = g_bounds[x]
-                    k = q * (gx + (1 - gx) * (1 - minb0))
+                    k = q * (gx + one_m_gx * (1 - minb0))
                 out[(z, x, y)] = ((1 - pz0) + k, pz1 + k)
     return out
 
@@ -156,7 +182,7 @@ def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
 
     for params in model.chains:
         pboxes = {W: params[W].box(env) for W in set_names(m)}
-        coeffs = relaxed_cost_coeffs(pboxes, model.g_bounds, m)
+        coeffs = relaxed_cost_coeffs(pboxes, model.thresholds, m)
         r = row()
         r[0] = 1.0
         for (z, x, y), (c1, c2) in coeffs.items():
@@ -202,11 +228,15 @@ def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
                      bounds=bounds, var_names=var_names)
 
 
-def solve_lp(p: LpProblem) -> LpSolution:
+LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9}
+
+
+def _solve_linprog(p: LpProblem) -> LpSolution:
+    """``scipy.optimize.linprog`` with HiGHS: the path taken when scipy ships
+    no HiGHS bindings, and the reference the direct path is tested against."""
     res = linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
-                  bounds=p.bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
+                  bounds=p.bounds, method="highs", options=LP_TOLERANCES)
     if res.status == 0:
         point = dict(zip(p.var_names, res.x))
         return LpSolution(status="optimal", value=-res.fun, point=point)
@@ -215,6 +245,88 @@ def solve_lp(p: LpProblem) -> LpSolution:
     if res.status == 3:
         return LpSolution(status="unbounded", value=math.inf)
     return LpSolution(status="failed")
+
+
+class _HighsSolver:
+    """One HiGHS instance from scipy's bundled bindings, configured once and
+    reused for every LP.
+
+    ``linprog`` spends most of a box LP's time checking options and building
+    a fresh solver; here each call only hands over the column-wise matrix.
+    ``passModel`` discards the previous model and its basis, so every solve
+    starts cold and its answer does not depend on the LPs solved before it.
+    Not safe to call from several threads at once.
+    """
+
+    def __init__(self, core):
+        self._core = core
+        self._highs = core._Highs()
+        options = {"output_flag": False, "presolve": "off", **LP_TOLERANCES}
+        for name, value in options.items():
+            if self._highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejects option {name}={value!r}")
+        status = core.HighsModelStatus
+        self._status = {status.kOptimal: "optimal",
+                        status.kInfeasible: "infeasible",
+                        status.kUnbounded: "unbounded"}
+
+    def __call__(self, p: LpProblem) -> LpSolution:
+        core, highs = self._core, self._highs
+        A = np.vstack((p.A_ub, p.A_eq))
+        n_row, n_col = A.shape
+        col, row = np.nonzero(A.T)  # column-major order
+        lp = core.HighsLp()
+        lp.num_col_ = n_col
+        lp.num_row_ = n_row
+        lp.col_cost_ = p.c
+        lp.col_lower_ = np.array([lo for lo, _ in p.bounds], dtype=float)
+        lp.col_upper_ = np.array([math.inf if hi is None else hi
+                                  for _, hi in p.bounds], dtype=float)
+        lp.row_lower_ = np.concatenate((np.full(len(p.b_ub), -math.inf),
+                                        p.b_eq))
+        lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
+        mat = lp.a_matrix_
+        mat.format_ = core.MatrixFormat.kColwise
+        mat.num_col_ = n_col
+        mat.num_row_ = n_row
+        mat.start_ = np.concatenate(
+            ([0], np.cumsum(np.bincount(col, minlength=n_col))))
+        mat.index_ = row
+        mat.value_ = A[row, col]
+        if highs.passModel(lp) == core.HighsStatus.kError or \
+                highs.run() == core.HighsStatus.kError:
+            return LpSolution(status="failed")
+        status = self._status.get(highs.getModelStatus(), "failed")
+        if status == "optimal":
+            point = dict(zip(p.var_names, highs.getSolution().col_value))
+            return LpSolution(status=status,
+                              value=-highs.getInfo().objective_function_value,
+                              point=point)
+        if status == "infeasible":
+            return LpSolution(status=status, value=-math.inf)
+        if status == "unbounded":
+            return LpSolution(status=status, value=math.inf)
+        return LpSolution(status=status)
+
+
+def _make_solver():
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError:  # scipy before 1.15 bundles no HiGHS bindings
+        return _solve_linprog
+    return _HighsSolver(core)
+
+
+_solver = None  # made on the first solve_lp call
+
+
+def solve_lp(p: LpProblem) -> LpSolution:
+    """Solve ``p`` with HiGHS: directly through scipy's bundled bindings when
+    they import, else through ``linprog``."""
+    global _solver
+    if _solver is None:
+        _solver = _make_solver()
+    return _solver(p)
 
 
 @dataclass
@@ -230,8 +342,11 @@ class BoundCertificate:
 
 def _box_value(model, box) -> float:
     sol = solve_lp(relax_to_lp(model, box))
-    if sol.status == "failed":
-        return math.inf  # never trusted: forces a split
+    if sol.status != "optimal":
+        # the box LP is feasible (zero satisfies every row) and bounded
+        # (X <= X_CAP), so any other status is a solver failure: never
+        # trusted, it forces a split
+        return math.inf
     return sol.value
 
 
@@ -285,7 +400,10 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     Best-first worklist (largest LP value first).  A box is a leaf once its
     LP value + delta <= target; an unsplittable box above target is a
     counterexample.  The worklist is checkpointed periodically and the leaves
-    streamed to an audit file, one JSON record per line.
+    streamed to an audit file, one JSON record per line.  A checkpoint holds
+    every box not yet settled, including the one a stopped run ended on, and
+    the length of the audit file it matches, so a resumed run extends the
+    file to a certificate of the whole domain.
     """
     processed = 0
     n_leaves = 0
@@ -304,6 +422,9 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             state = json.load(fh)
         processed = state["processed"]
         n_leaves = state["n_leaves"]
+        if cert_fh and "certificate_bytes" in state:
+            # drop leaves written after the checkpoint: they are re-derived
+            cert_fh.truncate(state["certificate_bytes"])
         for rec in state["worklist"]:
             push(rec["box"], rec["value"])
     else:
@@ -319,44 +440,45 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             "n_leaves": n_leaves,
             "worklist": [{"box": b, "value": -nv} for nv, _, b in heap],
         }
+        if cert_fh:
+            cert_fh.flush()
+            state["certificate_bytes"] = os.fstat(cert_fh.fileno()).st_size
         tmp = checkpoint + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(state, fh)
         os.replace(tmp, checkpoint)
+
+    def stop(status, box, value):
+        push(box, value)  # unsettled: a resumed run takes it up again
+        save_checkpoint()
+        return BoundCertificate(
+            target=target, status=status, boxes_processed=processed,
+            n_leaves=n_leaves, worst_box=box, worst_value=value,
+            certificate_path=certificate)
 
     try:
         while heap:
             neg, _, box = heapq.heappop(heap)
             value = -neg
             processed += 1
-            if processed % CHECKPOINT_EVERY == 0:
-                save_checkpoint()
-                if log:
-                    log(f"boxes={processed} worklist={len(heap)} "
-                        f"worst={value:.6f}")
             if value + delta <= target:
                 n_leaves += 1
                 if cert_fh:
                     cert_fh.write(json.dumps(
                         {"box": box, "lp_value": value}) + "\n")
-                continue
-            if budget is not None and processed >= budget:
+            else:
+                if budget is not None and processed >= budget:
+                    return stop("exhausted-budget", box, value)
+                children = _split(box)
+                if not children:
+                    return stop("counterexample-box", box, value)
+                for child in children:
+                    push(child, _box_value(model, child))
+            if processed % CHECKPOINT_EVERY == 0:
                 save_checkpoint()
-                return BoundCertificate(
-                    target=target, status="exhausted-budget",
-                    boxes_processed=processed, n_leaves=n_leaves,
-                    worst_box=box, worst_value=value,
-                    certificate_path=certificate)
-            children = _split(box)
-            if not children:
-                save_checkpoint()
-                return BoundCertificate(
-                    target=target, status="counterexample-box",
-                    boxes_processed=processed, n_leaves=n_leaves,
-                    worst_box=box, worst_value=value,
-                    certificate_path=certificate)
-            for child in children:
-                push(child, _box_value(model, child))
+                if log:
+                    log(f"boxes={processed} worklist={len(heap)} "
+                        f"worst={value:.6f}")
         save_checkpoint()
         return BoundCertificate(target=target, status="certified",
                                 boxes_processed=processed, n_leaves=n_leaves,
@@ -366,16 +488,78 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             cert_fh.close()
 
 
+def _box_key(box: dict, names) -> tuple:
+    return tuple((float(box[v][0]), float(box[v][1])) for v in names)
+
+
+def _inside(inner: tuple, outer: tuple) -> bool:
+    return all(olo <= ilo and ihi <= ohi
+               for (ilo, ihi), (olo, ohi) in zip(inner, outer))
+
+
+def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
+    """Whether ``leaves`` (box keys) are exactly the leaves of a split tree
+    grown from ``initial_boxes(model)`` by ``_split``: every branch of the
+    tree ends at a leaf, and every leaf ends one branch.
+
+    Splits halve intervals, so a leaf equals its tree node exactly, also
+    after a JSON round trip.  Each tree node carries the leaves inside it;
+    a node with none is uncovered, and a leaf that fits no child of its node
+    is not a node of the tree.
+    """
+    names = model.box_vars()
+
+    def distribute(boxes, pending):
+        keys = [_box_key(box, names) for box in boxes]
+        parts = [[] for _ in boxes]
+        for leaf in pending:
+            for key, part in zip(keys, parts):
+                if _inside(leaf, key):
+                    part.append(leaf)
+                    break
+            else:
+                return None
+        return list(zip(boxes, keys, parts))
+
+    work = distribute(initial_boxes(model), leaves)
+    if work is None:
+        return False
+    while work:
+        box, key, pending = work.pop()
+        if pending == [key]:
+            continue  # a leaf
+        if not pending or key in pending:
+            return False  # uncovered, or a leaf overlapping another
+        more = distribute(_split(box), pending)
+        if more is None:
+            return False  # unsplittable, or a leaf that is no tree node
+        work.extend(more)
+    return True
+
+
 def replay_certificate(model: NlpModel, path: str, target: float,
                        delta: float = DELTA) -> bool:
-    """Re-solve every leaf LP in an audit file and re-check the margin."""
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            value = _box_value(model, rec["box"])
-            if value + delta > target:
-                return False
-    return True
+    """Check an audit file: its leaves tile the model's domain exactly, and
+    re-solving every leaf LP still clears the target by the margin."""
+    names = model.box_vars()
+    expected = set(names)
+    boxes, keys = [], []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                box = json.loads(line)["box"]
+                if set(box) != expected or \
+                        any(len(box[v]) != 2 for v in names):
+                    return False
+                boxes.append(box)
+                keys.append(_box_key(box, names))
+    except (ValueError, KeyError, TypeError):
+        return False  # a malformed or truncated record
+    if not _leaves_tile_domain(model, keys):
+        return False
+    return all(_box_value(model, box) + delta <= target for box in boxes)
 
 
 # --- point evaluation -------------------------------------------------------
@@ -459,11 +643,18 @@ def preset_hard_point_s3() -> tuple:
     gC2 = 0.3291
     env = {"b": 0.68, "gA1": 0.0, "gA2": 0.7478,
            "gC1": 1 - gC2, "gC2": gC2}
-    profile = {
+    rounded = {
         ("B", 2, 2): (0.722175, 0.289375),
         ("C", 2, 1): (0.647832, 0.259589),
         ("C", 2, 2): (0.317901, 0.127384),
     }
+    # the six-digit profile misses the normalization (1-b)D1 + bD2 = 1 by
+    # 4.7e-5; every cost is linear in the profile, so scaling it onto the
+    # constraint keeps the ratio the point stands for and makes it feasible
+    b = env["b"]
+    norm = sum((1 - b) * d1 + b * d2 for d1, d2 in rounded.values())
+    profile = {key: (d1 / norm, d2 / norm)
+               for key, (d1, d2) in rounded.items()}
     return model, env, profile
 
 

@@ -102,6 +102,13 @@ def test_bound_point_presets(capsys):
     assert code == 0 and rep["feasible"]
 
 
+def test_bound_point_exits_1_on_violations(capsys):
+    code, rep = run_json(capsys, "bound", "point", "--preset", "m1-feasible",
+                         "--X", "2")
+    assert rep["violations"] and not rep["feasible"]
+    assert code == 1
+
+
 def test_bound_point_from_file(tmp_path, capsys):
     from bipoint.nlp import preset_hard_point_s3
     model, env, profile = preset_hard_point_s3()

@@ -1,10 +1,13 @@
 """Factor-revealing program: interval relaxation soundness, branch-and-bound
 certification, checkpointing, and the published reference points."""
 
+import heapq
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +22,7 @@ from bipoint.nlp import (
     preset_hard_point_s3,
     preset_m1_feasible,
     relax_to_lp,
+    relaxed_cost_coeffs,
     replay_certificate,
     solve_lp,
 )
@@ -182,15 +186,184 @@ def test_branch_and_bound_counterexample():
 def test_checkpoint_resume(tmp_path):
     model = model_for_table("alg2", [0.6586])
     ck = str(tmp_path / "state.json")
-    first = branch_and_bound(model, target=1.33, budget=60, checkpoint=ck)
+    leaves = str(tmp_path / "leaves.ndjson")
+    first = branch_and_bound(model, target=1.33, budget=60, checkpoint=ck,
+                             certificate=leaves)
     assert first.status == "exhausted-budget"
     with open(ck) as fh:
         state = json.load(fh)
     assert state["processed"] == 60 and state["worklist"]
+    # the box the run stopped on is still to be settled
+    stopped = json.loads(json.dumps(first.worst_box))
+    assert stopped in [rec["box"] for rec in state["worklist"]]
     resumed = branch_and_bound(model, target=1.33, budget=None,
-                               checkpoint=ck, resume=True)
+                               checkpoint=ck, resume=True, certificate=leaves)
     assert resumed.status == "certified"
     assert resumed.boxes_processed > 60
+    assert replay_certificate(model, leaves, target=1.33)
+
+
+def test_resume_after_interrupt_replays(tmp_path, monkeypatch):
+    """A run killed between checkpoints has written leaves the checkpoint
+    does not know of; the resumed run drops them and re-derives them once."""
+    model = model_for_table("alg2", [0.6586])
+    ck = str(tmp_path / "state.json")
+    leaves = str(tmp_path / "leaves.ndjson")
+    monkeypatch.setattr(nlp, "CHECKPOINT_EVERY", 50)
+    pops = [0]
+
+    class Killed(Exception):
+        pass
+
+    def dies_later(heap):
+        pops[0] += 1
+        if pops[0] > 920:  # 926 boxes in all; the last 690 are leaves
+            raise Killed
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(nlp, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=dies_later))
+    with pytest.raises(Killed):
+        branch_and_bound(model, target=1.35, checkpoint=ck,
+                         certificate=leaves)
+    monkeypatch.setattr(nlp, "heapq", heapq)
+    with open(ck) as fh:
+        kept = json.load(fh)["certificate_bytes"]
+    with open(leaves, "rb") as fh:
+        assert len(fh.read()) > kept  # leaves past the checkpoint exist
+    resumed = branch_and_bound(model, target=1.35, checkpoint=ck,
+                               resume=True, certificate=leaves)
+    assert resumed.status == "certified"
+    assert replay_certificate(model, leaves, target=1.35)
+
+
+@pytest.fixture(scope="module")
+def cert_lines(tmp_path_factory):
+    """Leaf records of an alg2 certificate at 1.40."""
+    path = tmp_path_factory.mktemp("cert") / "leaves.ndjson"
+    model = model_for_table("alg2", [0.6586])
+    cert = branch_and_bound(model, target=1.40, certificate=str(path))
+    assert cert.status == "certified" and cert.n_leaves >= 4
+    return path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("damage", [
+    "empty", "truncated", "leaf-removed", "leaf-duplicated", "leaf-moved",
+    "leaf-merged"])
+def test_replay_rejects_incomplete_certificates(tmp_path, cert_lines, damage):
+    model = model_for_table("alg2", [0.6586])
+    lines = list(cert_lines)
+    if damage == "empty":
+        lines = []
+    elif damage == "truncated":
+        text = "".join(lines)
+        lines = [text[:len(text) // 2]]
+    elif damage == "leaf-removed":
+        del lines[len(lines) // 2]
+    elif damage == "leaf-duplicated":
+        lines.append(lines[len(lines) // 2])
+    elif damage == "leaf-moved":
+        rec = json.loads(lines[0])
+        lo, hi = rec["box"]["b"]
+        rec["box"]["b"] = [lo + (hi - lo) / 4, hi + (hi - lo) / 4]
+        lines[0] = json.dumps(rec) + "\n"
+    else:
+        # one leaf stretched over its sibling's room: an overlap
+        rec = json.loads(lines[0])
+        rec["box"]["b"] = [0.0, 1.0]
+        lines[0] = json.dumps(rec) + "\n"
+    path = tmp_path / "damaged.ndjson"
+    path.write_text("".join(lines))
+    assert replay_certificate(model, str(path), target=1.40) is False
+    # the undamaged records still replay
+    path.write_text("".join(cert_lines))
+    assert replay_certificate(model, str(path), target=1.40)
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded", "failed"])
+def test_only_an_optimal_lp_certifies_a_box(monkeypatch, status):
+    """The box LP is feasible and bounded, so any other status is a solver
+    failure: the box must be split, never certified."""
+    model = model_for_table("alg2", [0.6586])
+    monkeypatch.setattr(nlp, "solve_lp",
+                        lambda p: nlp.LpSolution(status=status))
+    assert nlp._box_value(model, initial_boxes(model)[0]) == math.inf
+    cert = branch_and_bound(model, target=1.35, budget=3)
+    assert cert.status == "exhausted-budget"
+    assert cert.n_leaves == 0
+
+
+def _lp_boxes(model, seed, n):
+    rng = random.Random(seed)
+    return initial_boxes(model) + [rand_box(rng, model.m) for _ in range(n)]
+
+
+SOLVER_MODELS = [("alg2", [Fraction("0.6586")]),
+                 ("alg3", [Fraction("0.642"), Fraction("0.833")])]
+
+
+@pytest.mark.parametrize("table,g", SOLVER_MODELS)
+def test_direct_highs_matches_linprog(table, g):
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    direct = nlp._HighsSolver(core)
+    model = model_for_table(table, g)
+    for box in _lp_boxes(model, 7, 50):
+        lp = relax_to_lp(model, box)
+        got, want = direct(lp), nlp._solve_linprog(lp)
+        assert got.status == want.status, box
+        if want.status == "optimal":
+            assert abs(got.value - want.value) <= 1e-9, box
+            assert got.point.keys() == want.point.keys()
+
+
+def test_solve_lp_falls_back_to_linprog(monkeypatch):
+    """Without scipy's HiGHS bindings, solve_lp goes through linprog."""
+    monkeypatch.setattr(nlp, "_solver", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    model = model_for_table("alg2", [0.6586])
+    lp = relax_to_lp(model, initial_boxes(model)[0])
+    sol = solve_lp(lp)
+    assert nlp._solver is nlp._solve_linprog
+    assert sol.status == "optimal"
+    assert sol.value == nlp._solve_linprog(lp).value
+
+
+def _reference_cost_coeffs(pboxes, g_bounds, m):
+    """relaxed_cost_coeffs as first written, mixing the thresholds into the
+    float arithmetic on every call."""
+    p0, p1 = {}, {}
+    for W, pb in pboxes.items():
+        p0[W], p1[W] = nlp._p_bounds(pb)
+    out = {}
+    for z in "BC":
+        for x in range(1, m + 1):
+            minb0 = min(p0[f"B{s}"] for s in range(1, x + 1))
+            for y in range(1, m + 1):
+                pz0, pz1 = p0[f"{z}{y}"], p1[f"{z}{y}"]
+                q = (1 - pz0) * (1 - p0[f"A{x}"])
+                if z == "B":
+                    if x == 1:
+                        k = q
+                    elif y <= x:
+                        k = q / g_bounds[x - 1]
+                    else:
+                        k = q * (1 + (1 / g_bounds[x - 1] - 1) * (1 - minb0))
+                else:
+                    gx = g_bounds[x]
+                    k = q * (gx + (1 - gx) * (1 - minb0))
+                out[(z, x, y)] = ((1 - pz0) + k, pz1 + k)
+    return out
+
+
+@pytest.mark.parametrize("table,g", SOLVER_MODELS + [("alg2", [0.6586])])
+def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
+    model = model_for_table(table, g)
+    for box in _lp_boxes(model, 11, 30):
+        env = gamma_intervals(box, model.m)
+        for params in model.chains:
+            pboxes = {W: params[W].box(env) for W in set_names(model.m)}
+            assert relaxed_cost_coeffs(pboxes, model.thresholds, model.m) \
+                == _reference_cost_coeffs(pboxes, model.g_bounds, model.m)
 
 
 def test_hard_point_reference_value():
