@@ -271,17 +271,19 @@ def greedy_cover(chains: list, universe: list) -> list:
 
     ``universe`` is a list of (env, canonical_vector) pairs; a chain covers a
     pair when its instantiation at env matches the vector on nonempty sets.
+    Pairs sharing one env object are compared against one instantiation of
+    each chain there.
     """
     m = chains[0].m if chains else 0
-    covers = []
-    for chain in chains:
+    by_env = {}  # id(env) -> (env, indices of its pairs)
+    for idx, (env, _) in enumerate(universe):
+        by_env.setdefault(id(env), (env, []))[1].append(idx)
+    covers = [set() for _ in chains]
+    for chain, got in zip(chains, covers):
         params = chain.params()
-        got = set()
-        for idx, (env, can) in enumerate(universe):
-            vals = instantiate(params, env)
-            if canonical(vals, env, m) == can:
-                got.add(idx)
-        covers.append(got)
+        for env, idxs in by_env.values():
+            form = canonical(instantiate(params, env), env, m)
+            got.update(idx for idx in idxs if universe[idx][1] == form)
     uncovered = set(range(len(universe)))
     picked = []
     while uncovered:

@@ -230,7 +230,12 @@ def cmd_alg_chains(args) -> int:
                 val = max(val, nlp._box_value(model, box))
             return val
 
-        reduced = algfamily.iterative_addition(chains, objective)
+        try:
+            reduced = algfamily.iterative_addition(chains, objective)
+        except ValueError as exc:
+            # a chain the NLP cannot enclose, such as one using gA1 at m >= 2
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report["iterative"] = len(reduced)
         report["iterative_chains"] = [c.label() for c in reduced]
     _emit(report, args)

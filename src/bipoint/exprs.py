@@ -144,7 +144,7 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value", "_box")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
@@ -153,13 +153,7 @@ class Const(Expr):
         return self.value
 
     def box(self, env):
-        # the float image is made on the first call and kept: branch-and-bound
-        # encloses the same constants on every box
-        try:
-            return self._box
-        except AttributeError:
-            self._box = iv(self.value)
-            return self._box
+        return iv(self.value)
 
     def __repr__(self):
         return f"{self.value}"

@@ -4,11 +4,13 @@ and exact point evaluation.
 The NLP maximizes the worst-case ratio X subject to X <= cost(A) for every
 chain A, the star-rounding bound, and the normalization of the fractional
 cost to 1.  Over a box of (b, gamma) values the chain parameters are enclosed
-by interval arithmetic and each occurrence of p_W (resp. 1 - p_W) in a cost
-expression is replaced by its upper bound p_W^1 (resp. 1 - p_W^0); since all
-these terms carry nonnegative coefficients the resulting LP upper-bounds the
-NLP on the box.  Boxes whose LP value falls below the target are certified;
-the rest are halved per bounded variable until the worklist empties.
+by interval arithmetic, all chains of a model in one vectorized pass over the
+linear-fractional form every parameter compiles to, and each occurrence of
+p_W (resp. 1 - p_W) in a cost expression is replaced by its upper bound p_W^1
+(resp. 1 - p_W^0); since all these terms carry nonnegative coefficients the
+resulting LP upper-bounds the NLP on the box.  Boxes whose LP value falls
+below the target are certified; the rest are halved per bounded variable
+until the worklist empties.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .algfamily import cost_bound, instantiate, is_valid
-from .exprs import EMPTY, Interval, iadd, iclamp01, imin, isub, iv
+from .exprs import Const, Interval, Op, Var, iadd, iclamp01, imin, isub, iv
 from .tables import builtin_tables, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
@@ -54,6 +57,11 @@ class NlpModel:
     def thresholds(self) -> list:
         """``threshold_floats(g_bounds)``, computed on first use."""
         return threshold_floats(self.g_bounds)
+
+    @cached_property
+    def chain_table(self) -> "ChainTable":
+        """``compile_chains(self)``, computed on first use."""
+        return compile_chains(self)
 
 
 def model_for_table(table: str, g_inner) -> NlpModel:
@@ -85,12 +93,162 @@ def gamma_intervals(box: dict, m: int) -> dict:
     return env
 
 
-def _p_bounds(pbox) -> tuple:
-    """(p^0, p^1) from an enclosure; the empty-set marker gives (1, 0),
-    zeroing every occurrence of p and of 1 - p."""
-    if pbox is EMPTY or pbox.empty:
-        return 1.0, 0.0
-    return pbox.lo, pbox.hi
+@dataclass(frozen=True)
+class ChainTable:
+    """Every chain parameter of a model as clamp01(alpha + N/D), N and D
+    affine in the variables ``names`` (sorted), as float arrays over
+    (chain, set) with the sets in ``set_names(m)`` order.
+
+    The numerator and denominator are stacked on one axis: ``const[0]`` and
+    ``coef[v, 0]`` are N's constant and its coefficient of ``names[v]``,
+    ``const[1]`` and ``coef[v, 1]`` D's.
+    """
+
+    names: tuple
+    alpha: np.ndarray  # (chains, sets)
+    const: np.ndarray  # (2, chains, sets)
+    coef: np.ndarray  # (variables, 2, chains, sets)
+
+
+def _affine(e):
+    """(constant, {variable: coefficient}) of an Expr built from constants,
+    variables, +, - and products with a constant, exactly; else None."""
+    if isinstance(e, Const):
+        return Fraction(e.value), {}
+    if isinstance(e, Var):
+        return Fraction(0), {e.name: Fraction(1)}
+    if not (isinstance(e, Op) and e.op in ("+", "-", "*")):
+        return None
+    parts = [_affine(a) for a in e.args]
+    if None in parts:
+        return None
+    (a0, a), (b0, b) = parts
+    if e.op == "*":
+        if a and b:
+            return None  # a product of variables
+        if a:
+            (a0, a), (b0, b) = (b0, b), (a0, a)
+        return a0 * b0, {v: a0 * c for v, c in b.items()}
+    sign = 1 if e.op == "+" else -1
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, 0) + sign * c
+    return a0 + sign * b0, out
+
+
+def _linear_fractional(e):
+    """(alpha, N, D) of a chain parameter in one of the shapes ``parse`` and
+    ``reduce_ratio`` produce: clamp01(const), clamp01(affine), clamp01(N/D)
+    or clamp01(alpha + N/D); N and D as ``_affine`` gives them.  None for
+    any other shape."""
+    if not (isinstance(e, Op) and e.op == "clamp01"):
+        return None
+    body, alpha = e.args[0], Fraction(0)
+    if isinstance(body, Op) and body.op == "+" and \
+            isinstance(body.args[0], Const) and \
+            isinstance(body.args[1], Op) and body.args[1].op == "/":
+        alpha, body = Fraction(body.args[0].value), body.args[1]
+    if isinstance(body, Op) and body.op == "/":
+        num, den = (_affine(a) for a in body.args)
+    else:
+        num, den = _affine(body), (Fraction(1), {})
+    if num is None or den is None:
+        return None
+    return alpha, num, den
+
+
+def compile_chains(model: NlpModel) -> ChainTable:
+    """The model's chain parameters as a ``ChainTable``.
+
+    Raises ValueError, naming the chain, the set and the formula, for a
+    parameter of any other shape (min/max, a product of variables) or one
+    using a variable the branch-and-bound box does not bound.
+    """
+    m = model.m
+    sets = set_names(m)
+    bound = set(model.box_vars()) | {f"gC{t}" for t in range(1, m + 1)}
+    forms = []
+    for i, params in enumerate(model.chains):
+        for j, W in enumerate(sets):
+            e = params[W]
+            form = _linear_fractional(e)
+            if form is None:
+                raise ValueError(f"chain {i}, set {W}: {e!r} is not "
+                                 "clamp01(alpha + affine / affine)")
+            unbound = sorted((form[1][1].keys() | form[2][1].keys()) - bound)
+            if unbound:
+                raise ValueError(
+                    f"chain {i}, set {W}: {e!r} uses {', '.join(unbound)}, "
+                    f"which the m={m} box does not bound "
+                    f"(it bounds {', '.join(sorted(bound))})")
+            forms.append((i, j, form))
+    names = tuple(sorted({v for _, _, (_, num, den) in forms
+                          for v in (*num[1], *den[1])}))
+    shape = (len(model.chains), len(sets))
+    alpha = np.zeros(shape)
+    const = np.zeros((2,) + shape)
+    coef = np.zeros((len(names), 2) + shape)
+    for i, j, (a, num, den) in forms:
+        alpha[i, j] = float(a)
+        for side, (c0, cs) in enumerate((num, den)):
+            const[side, i, j] = float(c0)
+            for v, c in cs.items():
+                coef[names.index(v), side, i, j] = float(c)
+    return ChainTable(names=names, alpha=alpha, const=const, coef=coef)
+
+
+def _times(a, b):
+    """a * b element-wise with 0 * inf = 0, as ``exprs._mul``."""
+    return np.where((a == 0) | (b == 0), 0.0, a * b)
+
+
+def chain_bounds(table: ChainTable, env: dict) -> tuple:
+    """(p0, p1): lower and upper bounds of every chain parameter over the box
+    whose ``gamma_intervals`` are ``env``, as (chains, sets) arrays.
+
+    Element by element this repeats the float operations of ``Expr.box`` on
+    the parameter's formula, so the bounds are the same bit for bit: the
+    affine terms are added in ``names`` order and then the constant, the
+    quotient follows ``exprs.idiv``, and then come + alpha and the clamp to
+    [0, 1].  A parameter whose denominator is 0 on the whole box and whose
+    numerator is not (the parameter of an empty set) gets (1, 0), which
+    zeroes every occurrence of p and of 1 - p.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = (len(table.names), 1, 1, 1)
+        at_lo = _times(table.coef, np.reshape(
+            [env[v].lo for v in table.names], shape))
+        at_hi = _times(table.coef, np.reshape(
+            [env[v].hi for v in table.names], shape))
+        up = table.coef > 0
+        term_lo = np.where(up, at_lo, at_hi)
+        term_hi = np.where(up, at_hi, at_lo)
+        lo = np.zeros_like(table.const)
+        hi = np.zeros_like(table.const)
+        for tl, th in zip(term_lo, term_hi):
+            lo += tl
+            hi += th
+        (xl, yl), (xh, yh) = lo + table.const, hi + table.const
+
+        # y away from 0: x * [1/yh, 1/yl]
+        il, ih = 1.0 / yh, 1.0 / yl
+        ps = (_times(xl, il), _times(xl, ih), _times(xh, il), _times(xh, ih))
+        nonzero = (yl > 0) | (yh < 0)
+        q_lo = np.where(nonzero, np.minimum.reduce(ps), -math.inf)
+        q_hi = np.where(nonzero, np.maximum.reduce(ps), math.inf)
+        # y touching 0 on one side only: one end stays finite
+        above = (yl == 0) & (yh > 0)
+        below = (yh == 0) & (yl < 0)
+        x_pos, x_neg = xl > 0, xh < 0
+        q_lo = np.where(above & x_pos, xl / yh, q_lo)
+        q_hi = np.where(above & x_neg, xh / yh, q_hi)
+        q_hi = np.where(below & x_pos, xl / yl, q_hi)
+        q_lo = np.where(below & x_neg, xh / yl, q_lo)
+        empty = (yl == 0) & (yh == 0) & (x_pos | x_neg)
+
+    p0 = np.minimum(np.maximum(q_lo + table.alpha, 0.0), 1.0)
+    p1 = np.minimum(np.maximum(q_hi + table.alpha, 0.0), 1.0)
+    return np.where(empty, 1.0, p0), np.where(empty, 0.0, p1)
 
 
 def threshold_floats(g_bounds) -> list:
@@ -110,36 +268,34 @@ def threshold_floats(g_bounds) -> list:
     return out
 
 
-def relaxed_cost_coeffs(pboxes: dict, thresholds, m: int) -> dict:
-    """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}) per client
-    class, with each p / (1-p) occurrence relaxed independently.
+def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
+    """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}), each of shape
+    (chains, classes) with the classes in ``NlpModel.class_keys`` order, with
+    each p / (1-p) occurrence relaxed independently.
 
-    ``thresholds`` is ``threshold_floats(g_bounds)``.
+    ``p0``, ``p1`` are ``chain_bounds`` arrays (columns in ``set_names(m)``
+    order); ``thresholds`` is ``threshold_floats(g_bounds)``.
     """
-    p0 = {}
-    p1 = {}
-    for W, pb in pboxes.items():
-        p0[W], p1[W] = _p_bounds(pb)
-    out = {}
-    for z in "BC":
+    pa0 = p0[:, :m]
+    minb0 = np.minimum.accumulate(p0[:, m:2 * m], axis=1)  # min over B_1..B_x
+    c1, c2 = [], []
+    for z, first in (("B", m), ("C", 2 * m)):
+        pz0, pz1 = p0[:, first:first + m], p1[:, first:first + m]  # y = 1..m
         for x in range(1, m + 1):
             g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
-            minb0 = min([p0[f"B{s}"] for s in range(1, x + 1)], default=1.0)
-            for y in range(1, m + 1):
-                pa0 = p0[f"A{x}"]
-                pz0, pz1 = p0[f"{z}{y}"], p1[f"{z}{y}"]
-                q = (1 - pz0) * (1 - pa0)
-                if z == "B":
-                    if x == 1:
-                        k = q
-                    elif y <= x:
-                        k = q / g_prev
-                    else:
-                        k = q * (1 + inv_g_prev_m1 * (1 - minb0))
-                else:
-                    k = q * (gx + one_m_gx * (1 - minb0))
-                out[(z, x, y)] = ((1 - pz0) + k, pz1 + k)
-    return out
+            q = (1 - pz0) * (1 - pa0[:, x - 1:x])
+            not_b0 = 1 - minb0[:, x - 1:x]
+            if z == "C":
+                k = q * (gx + one_m_gx * not_b0)
+            elif x == 1:
+                k = q
+            else:
+                k = np.empty_like(q)
+                k[:, :x] = q[:, :x] / g_prev  # y <= x
+                k[:, x:] = q[:, x:] * (1 + inv_g_prev_m1 * not_b0)
+            c1.append((1 - pz0) + k)
+            c2.append(pz1 + k)
+    return np.hstack(c1), np.hstack(c2)
 
 
 @dataclass
@@ -162,34 +318,24 @@ class LpSolution:
 
 def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
     m = model.m
-    env = gamma_intervals(box, m)
-    keys = model.class_keys()
+    p0, p1 = chain_bounds(model.chain_table, gamma_intervals(box, m))
+    c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
     var_names = ["X", "D1", "D2"]
-    idx = {}
-    for z, x, y in keys:
-        idx[(z, 1, x, y)] = len(var_names)
-        var_names.append(f"D_{z}1_{x}{y}")
-        idx[(z, 2, x, y)] = len(var_names)
-        var_names.append(f"D_{z}2_{x}{y}")
+    for z, x, y in model.class_keys():
+        var_names += [f"D_{z}1_{x}{y}", f"D_{z}2_{x}{y}"]
     nv = len(var_names)
 
-    A_ub, b_ub = [], []
+    # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate
+    chain_rows = np.zeros((len(c1), nv))
+    chain_rows[:, 0] = 1.0
+    chain_rows[:, 3::2] -= c1
+    chain_rows[:, 4::2] -= c2
+    A_ub, b_ub = [chain_rows], [0.0] * len(c1)
 
     def row():
         return np.zeros(nv)
 
     b0, b1 = float(box["b"][0]), float(box["b"][1])
-
-    for params in model.chains:
-        pboxes = {W: params[W].box(env) for W in set_names(m)}
-        coeffs = relaxed_cost_coeffs(pboxes, model.thresholds, m)
-        r = row()
-        r[0] = 1.0
-        for (z, x, y), (c1, c2) in coeffs.items():
-            r[idx[(z, 1, x, y)]] -= c1
-            r[idx[(z, 2, x, y)]] -= c2
-        A_ub.append(r)
-        b_ub.append(0.0)
 
     if model.include_sr:
         r = row()
@@ -211,20 +357,15 @@ def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
     A_ub.append(r)
     b_ub.append(0.0)
 
-    A_eq, b_eq = [], []
-    for i, di in ((1, 1), (2, 2)):
-        r = row()
-        r[di] = 1.0
-        for z, x, y in keys:
-            r[idx[(z, i, x, y)]] = -1.0
-        A_eq.append(r)
-        b_eq.append(0.0)
+    A_eq = np.zeros((2, nv))  # D_i = sum over classes of D_{Z,i}
+    A_eq[0, 1] = A_eq[1, 2] = 1.0
+    A_eq[0, 3::2] = A_eq[1, 4::2] = -1.0
 
     c = np.zeros(nv)
     c[0] = -1.0  # maximize X
     bounds = [(0.0, X_CAP)] + [(0.0, None)] * (nv - 1)
-    return LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                     A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+    return LpProblem(c=c, A_ub=np.vstack(A_ub), b_ub=np.array(b_ub),
+                     A_eq=A_eq, b_eq=np.zeros(2),
                      bounds=bounds, var_names=var_names)
 
 

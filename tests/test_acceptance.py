@@ -331,16 +331,24 @@ def test_12_soundness_suites():
                     F(pt["b"]),
                     [F(0)] + [F(pt[f"gA{t}"]) for t in range(2, m + 1)])
                 fenv = {k: float(v) for k, v in env.items()}
-                for params in model.chains:
+                # the batched bounds branch-and-bound uses; (1, 0) is their
+                # empty marker
+                p0, p1 = nlp.chain_bounds(model.chain_table, ienv)
+                for i, params in enumerate(model.chains):
                     vals = instantiate(params, fenv)
-                    for W in set_names(m):
+                    for j, W in enumerate(set_names(m)):
                         cases += 1
                         v = vals[W]
                         enc = params[W].box(ienv)
-                        if v is None or enc.empty:
+                        if v is None:
                             continue
-                        if not enc.contains(v, slack=1e-7):
+                        if not enc.empty and not enc.contains(v, slack=1e-7):
                             violations.append((table, W, box, pt))
+                        if p0[i, j] > p1[i, j]:
+                            continue
+                        cases += 1
+                        if not p0[i, j] - 1e-7 <= v <= p1[i, j] + 1e-7:
+                            violations.append(("batched", table, i, W, box, pt))
 
         # the linear relaxation admits every true normalized cost profile
         model = nlp.model_for_table("alg2", [F(6586, 10000)])

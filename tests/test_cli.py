@@ -76,6 +76,16 @@ def test_alg_enumerate(capsys):
     assert code == 2  # wrong number of gammas
 
 
+def test_alg_chains_iterative(capsys):
+    code, rep = run_json(capsys, "alg", "chains", "--m", "1", "--iterative")
+    assert code == 0 and rep["iterative"] >= 1
+    # generated m >= 2 chains divide by gA1, which the NLP box has no axis for
+    code = main(["alg", "chains", "--m", "2", "--iterative"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "gA1" in captured.err
+
+
 def test_alg_run_records(capsys):
     code, rep = run_json(capsys, "alg", "run", "--table", "alg2",
                          "--trials", "2", "--k", "5", "--seed", "3")

@@ -46,13 +46,6 @@ def test_basic_ops():
     assert idiv(y, x) == iv(1.5, 5)
 
 
-def test_const_box_is_made_once():
-    c = Const(Fraction(1, 3))
-    first = c.box({})
-    assert first == iv(Fraction(1, 3))
-    assert c.box({"x": iv(0, 1)}) is first
-
-
 def test_mul_zero_times_infinity_is_zero():
     assert imul(iv(0, 0), Interval(0.0, INF)) == iv(0, 0)
     got = imul(iv(0, 1), Interval(2.0, INF))

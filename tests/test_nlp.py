@@ -9,10 +9,13 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bipoint import nlp
-from bipoint.algfamily import cost_bound, derive_gamma_env, instantiate, is_valid
+from bipoint.algfamily import cost_bound, derive_gamma_env, generate_chains, \
+    instantiate, is_valid
+from bipoint.exprs import clamp01, parse, reduce_ratio
 from bipoint.nlp import (
     branch_and_bound,
     evaluate_point,
@@ -82,17 +85,21 @@ def test_chain_enclosures_contain_point_values():
                 [Fraction(0)] + [Fraction(pt[f"gA{t}"])
                                  for t in range(2, m + 1)])
             fenv = {k: float(v) for k, v in env.items()}
-            for params in model.chains:
+            p0, p1 = nlp.chain_bounds(model.chain_table, ienv)
+            for i, params in enumerate(model.chains):
                 vals = instantiate(params, fenv)
-                for W in set_names(m):
+                for j, W in enumerate(set_names(m)):
                     v = vals[W]
                     enc = params[W].box(ienv)
                     if v is None:
                         continue  # empty set at this exact point
-                    if enc.empty:
-                        # empty marker requires the set size to be 0 there
-                        continue
-                    assert enc.contains(v, slack=1e-7), (table, W, box, pt)
+                    # the empty marker, (1, 0) in the batched bounds, requires
+                    # the set size to be 0 there
+                    if not enc.empty:
+                        assert enc.contains(v, slack=1e-7), (table, W, box, pt)
+                    if p0[i, j] <= p1[i, j]:
+                        assert p0[i, j] - 1e-7 <= v <= p1[i, j] + 1e-7, \
+                            (table, i, W, box, pt)
 
 
 def test_lp_value_dominates_point_costs():
@@ -328,12 +335,17 @@ def test_solve_lp_falls_back_to_linprog(monkeypatch):
     assert sol.value == nlp._solve_linprog(lp).value
 
 
+def _p_bounds(pbox):
+    """(p^0, p^1) from an enclosure; the empty-set marker gives (1, 0)."""
+    return (1.0, 0.0) if pbox.empty else (pbox.lo, pbox.hi)
+
+
 def _reference_cost_coeffs(pboxes, g_bounds, m):
     """relaxed_cost_coeffs as first written, mixing the thresholds into the
     float arithmetic on every call."""
     p0, p1 = {}, {}
     for W, pb in pboxes.items():
-        p0[W], p1[W] = nlp._p_bounds(pb)
+        p0[W], p1[W] = _p_bounds(pb)
     out = {}
     for z in "BC":
         for x in range(1, m + 1):
@@ -358,12 +370,139 @@ def _reference_cost_coeffs(pboxes, g_bounds, m):
 @pytest.mark.parametrize("table,g", SOLVER_MODELS + [("alg2", [0.6586])])
 def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
     model = model_for_table(table, g)
+    sets, keys = set_names(model.m), model.class_keys()
     for box in _lp_boxes(model, 11, 30):
         env = gamma_intervals(box, model.m)
-        for params in model.chains:
-            pboxes = {W: params[W].box(env) for W in set_names(model.m)}
-            assert relaxed_cost_coeffs(pboxes, model.thresholds, model.m) \
-                == _reference_cost_coeffs(pboxes, model.g_bounds, model.m)
+        pboxes = [{W: params[W].box(env) for W in sets}
+                  for params in model.chains]
+        bounds = np.array([[_p_bounds(pb[W]) for W in sets] for pb in pboxes])
+        c1, c2 = relaxed_cost_coeffs(bounds[..., 0], bounds[..., 1],
+                                     model.thresholds, model.m)
+        for i, pb in enumerate(pboxes):
+            want = _reference_cost_coeffs(pb, model.g_bounds, model.m)
+            assert list(zip(c1[i], c2[i])) == [want[key] for key in keys]
+
+
+def _reference_relax_to_lp(model, box):
+    """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced."""
+    m = model.m
+    env = gamma_intervals(box, m)
+    var_names = ["X", "D1", "D2"]
+    idx = {}
+    for z, x, y in model.class_keys():
+        for i in (1, 2):
+            idx[(z, i, x, y)] = len(var_names)
+            var_names.append(f"D_{z}{i}_{x}{y}")
+    nv = len(var_names)
+    A_ub, b_ub = [], []
+    for params in model.chains:
+        pboxes = {W: params[W].box(env) for W in set_names(m)}
+        r = np.zeros(nv)
+        r[0] = 1.0
+        for (z, x, y), (c1, c2) in _reference_cost_coeffs(
+                pboxes, model.g_bounds, m).items():
+            r[idx[(z, 1, x, y)]] -= c1
+            r[idx[(z, 2, x, y)]] -= c2
+        A_ub.append(r)
+        b_ub.append(0.0)
+    b0, b1 = float(box["b"][0]), float(box["b"][1])
+    if model.include_sr:
+        r = np.zeros(nv)
+        r[0], r[2] = 1.0, -2.0 * b1 * (1 - b0)
+        A_ub.append(r)
+        b_ub.append(1.0)
+    r = np.zeros(nv)
+    r[1], r[2] = 1 - b1, b1
+    A_ub.append(r)
+    b_ub.append(1.0)
+    r = np.zeros(nv)
+    r[2], r[1] = 1.0, -1.0
+    A_ub.append(r)
+    b_ub.append(0.0)
+    A_eq = []
+    for i in (1, 2):
+        r = np.zeros(nv)
+        r[i] = 1.0
+        for z, x, y in model.class_keys():
+            r[idx[(z, i, x, y)]] = -1.0
+        A_eq.append(r)
+    c = np.zeros(nv)
+    c[0] = -1.0
+    return nlp.LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+                         A_eq=np.array(A_eq), b_eq=np.zeros(2),
+                         bounds=[(0.0, nlp.X_CAP)] + [(0.0, None)] * (nv - 1),
+                         var_names=var_names)
+
+
+def _dyadic(rng, lo, hi):
+    n = 2 ** rng.randrange(12)
+    k = rng.randrange(n)
+    return (lo + k * (hi - lo) / n, lo + (k + 1) * (hi - lo) / n)
+
+
+def _search_boxes(model, seed, n):
+    """The initial boxes, then seeded boxes of the kinds branch-and-bound
+    visits (dyadic pieces of [0, 1] and [0, N], the gamma tail) and a few
+    arbitrary ones."""
+    rng = random.Random(seed)
+    out = initial_boxes(model)
+    for _ in range(n):
+        box = {}
+        for var in model.box_vars():
+            hi = 1.0 if var == "b" else nlp.TAIL_N
+            roll = rng.random()
+            if var != "b" and roll < 0.2:
+                box[var] = (nlp.TAIL_N, math.inf)
+            elif roll < 0.85:
+                box[var] = _dyadic(rng, 0.0, hi)
+            else:
+                box[var] = tuple(sorted((rng.uniform(0, hi),
+                                         rng.uniform(0, hi))))
+        out.append(box)
+    return out
+
+
+BIT_MODELS = {
+    "alg1": lambda: model_for_table("alg1", []),
+    "alg2": lambda: model_for_table("alg2", [Fraction("0.6586")]),
+    "alg2-float-g": lambda: model_for_table("alg2", [0.6586]),
+    "alg3": lambda: model_for_table("alg3", [Fraction("0.642"),
+                                             Fraction("0.833")]),
+    "uniform": lambda: model_for_table("uniform", [Fraction("0.6586")]),
+    "generated-m1": lambda: nlp.NlpModel(
+        m=1, g_bounds=[0, 1],
+        chains=[c.params() for c in generate_chains(1)]),
+    "hard-point": lambda: preset_hard_point_s3()[0],
+}
+
+
+@pytest.mark.parametrize("name", list(BIT_MODELS))
+def test_relax_to_lp_bit_identical_to_per_chain_loop(name):
+    """The batched enclosure builds every LP exactly as enclosing each chain
+    parameter with Expr.box did."""
+    model = BIT_MODELS[name]()
+    for box in _search_boxes(model, 13, 60):
+        got, want = relax_to_lp(model, box), _reference_relax_to_lp(model, box)
+        for attr in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                (name, attr, box)
+        assert got.bounds == want.bounds
+        assert got.var_names == want.var_names
+
+
+@pytest.mark.parametrize("formula,why", [
+    ("min(b, 1)", "is not clamp01"),
+    ("b * gA2", "is not clamp01"),
+    ("b / gA1", "uses gA1"),
+])
+def test_compile_rejects_what_it_cannot_enclose(formula, why):
+    model = model_for_table("alg2", [0.6586])
+    chain = dict(model.chains[3], B2=clamp01(reduce_ratio(parse(formula))))
+    bad = nlp.NlpModel(m=2, g_bounds=model.g_bounds,
+                       chains=[model.chains[0], chain])
+    with pytest.raises(ValueError, match=f"chain 1, set B2: .* {why}"):
+        nlp.compile_chains(bad)
 
 
 def test_hard_point_reference_value():
