@@ -15,18 +15,18 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exprs import Const, Expr, Op, Var, clamp01, reduce_ratio
 from .instances import BiPointSolution, OpenSet, connection_cost_float
 from .partition import FacilityPartition, build_partition, build_stars, \
     class_aggregates, classify_clients
 from .rounding import star_round, sr_cost_bound
-from .tables import builtin_tables, set_names
+from .tables import builtin_tables, ratio, set_names
 
 # default g-thresholds for the two- and three-level hierarchies
 G_M2 = (Fraction(6586, 10000),)
 G_M3 = (Fraction(642, 1000), Fraction(833, 1000))
 
 ONE = Fraction(1)
+OPEN = ratio((1, {}), (1, {}))  # the parameter of a fully opened set
 
 
 def _size_key(name: str) -> str:
@@ -183,13 +183,6 @@ def enumerate_algm(m: int, env: dict) -> list:
 # --- chains -----------------------------------------------------------------
 
 
-def _total_mass_expr(m: int) -> Expr:
-    e = Var("b")
-    for t in range(1, m + 1):
-        e = e + Var(f"gA{t}")
-    return e
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """A start set opened fully plus an ordering that absorbs leftover mass."""
@@ -199,16 +192,15 @@ class ChainSpec:
     order: tuple  # remaining 2m set names
 
     def params(self) -> dict:
-        """Per-set probability formulas, truncated to [0,1]."""
-        out = {W: clamp01(Const(ONE)) for W in self.start}
-        cum = Const(Fraction(0))
-        for W in self.start:
-            cum = cum + Var(_size_key(W))
-        total = _total_mass_expr(self.m)
-        for W in self.order:
-            size = Var(_size_key(W))
-            out[W] = clamp01(reduce_ratio(Op("/", total - cum, size)))
-            cum = cum + size
+        """Per-set probability formulas, truncated to [0,1]: each set of the
+        order takes (b + sum_t gA_t - sizes already placed) / its size."""
+        out = {}
+        rest = {"b": ONE, **{f"gA{t}": ONE for t in range(1, self.m + 1)}}
+        for W in self.start + self.order:
+            size = _size_key(W)
+            out[W] = OPEN if W in self.start else \
+                ratio((0, rest), (0, {size: 1}))
+            rest[size] = rest.get(size, 0) - 1
         return {W: out[W] for W in set_names(self.m)}
 
     def breakpoints_b(self, env: dict) -> list:
@@ -259,7 +251,7 @@ def generate_chains(m: int) -> list:
         rest = [W for W in names if W not in start]
         for order in itertools.permutations(rest):
             chain = ChainSpec(m=m, start=tuple(start), order=tuple(order))
-            key = tuple(repr(e) for e in chain.params().values())
+            key = tuple(chain.params().values())
             if key not in seen:
                 seen.add(key)
                 out.append(chain)
@@ -421,6 +413,28 @@ def param_env(sol: BiPointSolution, part: FacilityPartition) -> dict:
     return env
 
 
+def run_chains(sol: BiPointSolution, part: FacilityPartition, chains: list,
+               rng) -> list:
+    """Execute every chain that is valid at the solution's parameters.
+
+    Returns (chain index, ExecutionResult, connection cost) for each chain
+    whose execution opens a facility, in chain order, which is also the
+    order ``rng`` is drawn in.
+    """
+    env = param_env(sol, part)
+    out = []
+    for ci, params in enumerate(chains):
+        values = instantiate(params, env)
+        if not is_valid(values, env, part.m).ok:
+            continue
+        res = execute(values, part, rng)
+        if not res.open_set.facilities:
+            continue
+        out.append((ci, res, connection_cost_float(sol.instance,
+                                                   res.open_set.facilities)))
+    return out
+
+
 def best_of(sol: BiPointSolution, eps: float, rng,
             thresholds: dict = None) -> BestOfResult:
     """Run the star-rounding algorithm plus every built-in chain and keep the
@@ -446,15 +460,7 @@ def best_of(sol: BiPointSolution, eps: float, rng,
                 part = build_partition(sol, forest, th or ())
             except ValueError:
                 continue
-            env = param_env(sol, part)
-            for ci, params in enumerate(chains):
-                values = instantiate(params, env)
-                if not is_valid(values, env, m).ok:
-                    continue
-                res = execute(values, part, rng)
-                if not res.open_set.facilities:
-                    continue
-                cost = connection_cost_float(inst, res.open_set.facilities)
+            for ci, res, cost in run_chains(sol, part, chains, rng):
                 label = f"{name}[{ci}]"
                 records.append((label, cost, len(res.open_set)))
                 if cost < best[0]:

@@ -259,16 +259,7 @@ def cmd_alg_run(args) -> int:
         inner = algfamily.G_M2 if m == 2 else \
             (algfamily.G_M3 if m == 3 else ())
         part = algfamily.build_partition(sol, forest, inner)
-        env = algfamily.param_env(sol, part)
-        for ci, params in enumerate(chains):
-            values = algfamily.instantiate(params, env)
-            if not algfamily.is_valid(values, env, m).ok:
-                continue
-            res = algfamily.execute(values, part, rng)
-            if not res.open_set.facilities:
-                continue
-            cost = connection_cost_float(sol.instance,
-                                         res.open_set.facilities)
+        for ci, res, cost in algfamily.run_chains(sol, part, chains, rng):
             records.append({
                 "trial": trial, "chain": ci,
                 "cost": round(cost, 6),

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .algfamily import cost_bound, instantiate, is_valid
-from .exprs import Const, Interval, Op, Var, iadd, iclamp01, imin, isub, iv
+from .exprs import Interval, iadd, iclamp01, imin, isub, iv
 from .tables import builtin_tables, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
@@ -40,7 +40,7 @@ CHECKPOINT_EVERY = 10_000
 class NlpModel:
     m: int
     g_bounds: list  # thresholds g_0 = 0 < g_1 < ... < g_m
-    chains: list  # list of {set name: Expr}
+    chains: list  # list of {set name: tables.LinFrac}
     include_sr: bool = True
     name: str = ""
 
@@ -110,89 +110,34 @@ class ChainTable:
     coef: np.ndarray  # (variables, 2, chains, sets)
 
 
-def _affine(e):
-    """(constant, {variable: coefficient}) of an Expr built from constants,
-    variables, +, - and products with a constant, exactly; else None."""
-    if isinstance(e, Const):
-        return Fraction(e.value), {}
-    if isinstance(e, Var):
-        return Fraction(0), {e.name: Fraction(1)}
-    if not (isinstance(e, Op) and e.op in ("+", "-", "*")):
-        return None
-    parts = [_affine(a) for a in e.args]
-    if None in parts:
-        return None
-    (a0, a), (b0, b) = parts
-    if e.op == "*":
-        if a and b:
-            return None  # a product of variables
-        if a:
-            (a0, a), (b0, b) = (b0, b), (a0, a)
-        return a0 * b0, {v: a0 * c for v, c in b.items()}
-    sign = 1 if e.op == "+" else -1
-    out = dict(a)
-    for v, c in b.items():
-        out[v] = out.get(v, 0) + sign * c
-    return a0 + sign * b0, out
-
-
-def _linear_fractional(e):
-    """(alpha, N, D) of a chain parameter in one of the shapes ``parse`` and
-    ``reduce_ratio`` produce: clamp01(const), clamp01(affine), clamp01(N/D)
-    or clamp01(alpha + N/D); N and D as ``_affine`` gives them.  None for
-    any other shape."""
-    if not (isinstance(e, Op) and e.op == "clamp01"):
-        return None
-    body, alpha = e.args[0], Fraction(0)
-    if isinstance(body, Op) and body.op == "+" and \
-            isinstance(body.args[0], Const) and \
-            isinstance(body.args[1], Op) and body.args[1].op == "/":
-        alpha, body = Fraction(body.args[0].value), body.args[1]
-    if isinstance(body, Op) and body.op == "/":
-        num, den = (_affine(a) for a in body.args)
-    else:
-        num, den = _affine(body), (Fraction(1), {})
-    if num is None or den is None:
-        return None
-    return alpha, num, den
-
-
 def compile_chains(model: NlpModel) -> ChainTable:
     """The model's chain parameters as a ``ChainTable``.
 
     Raises ValueError, naming the chain, the set and the formula, for a
-    parameter of any other shape (min/max, a product of variables) or one
-    using a variable the branch-and-bound box does not bound.
+    parameter using a variable the branch-and-bound box does not bound.
     """
     m = model.m
     sets = set_names(m)
     bound = set(model.box_vars()) | {f"gC{t}" for t in range(1, m + 1)}
-    forms = []
-    for i, params in enumerate(model.chains):
-        for j, W in enumerate(sets):
-            e = params[W]
-            form = _linear_fractional(e)
-            if form is None:
-                raise ValueError(f"chain {i}, set {W}: {e!r} is not "
-                                 "clamp01(alpha + affine / affine)")
-            unbound = sorted((form[1][1].keys() | form[2][1].keys()) - bound)
-            if unbound:
-                raise ValueError(
-                    f"chain {i}, set {W}: {e!r} uses {', '.join(unbound)}, "
-                    f"which the m={m} box does not bound "
-                    f"(it bounds {', '.join(sorted(bound))})")
-            forms.append((i, j, form))
-    names = tuple(sorted({v for _, _, (_, num, den) in forms
-                          for v in (*num[1], *den[1])}))
+    params = [(i, j, chain[W]) for i, chain in enumerate(model.chains)
+              for j, W in enumerate(sets)]
+    for i, j, e in params:
+        unbound = sorted({v for v, _ in e.n + e.d} - bound)
+        if unbound:
+            raise ValueError(
+                f"chain {i}, set {sets[j]}: {e!r} uses {', '.join(unbound)}, "
+                f"which the m={m} box does not bound "
+                f"(it bounds {', '.join(sorted(bound))})")
+    names = tuple(sorted({v for _, _, e in params for v, _ in e.n + e.d}))
     shape = (len(model.chains), len(sets))
     alpha = np.zeros(shape)
     const = np.zeros((2,) + shape)
     coef = np.zeros((len(names), 2) + shape)
-    for i, j, (a, num, den) in forms:
-        alpha[i, j] = float(a)
-        for side, (c0, cs) in enumerate((num, den)):
+    for i, j, e in params:
+        alpha[i, j] = float(e.alpha)
+        for side, (c0, cs) in enumerate(((e.n0, e.n), (e.d0, e.d))):
             const[side, i, j] = float(c0)
-            for v, c in cs.items():
+            for v, c in cs:
                 coef[names.index(v), side, i, j] = float(c)
     return ChainTable(names=names, alpha=alpha, const=const, coef=coef)
 
@@ -207,7 +152,8 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
     whose ``gamma_intervals`` are ``env``, as (chains, sets) arrays.
 
     Element by element this repeats the float operations of ``Expr.box`` on
-    the parameter's formula, so the bounds are the same bit for bit: the
+    the parameter written as an expression tree, so the bounds are the same
+    bit for bit: the
     affine terms are added in ``names`` order and then the constant, the
     quotient follows ``exprs.idiv``, and then come + alpha and the clamp to
     [0, 1].  A parameter whose denominator is 0 on the whole box and whose

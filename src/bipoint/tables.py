@@ -1,4 +1,5 @@
-"""Built-in chain tables for the partition-hierarchy algorithm families.
+"""Built-in chain tables for the partition-hierarchy algorithm families, and
+``LinFrac``, the exact form of every chain parameter.
 
 Each chain is a per-set parameter formula in the variables ``b``, ``gA2``,
 ``gA3`` (level-set size ratios) and the derived ``gC2``, ``gC3``; every
@@ -8,9 +9,146 @@ order A_1..A_m, B_1..B_m, C_1..C_m.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .exprs import clamp01, parse, reduce_ratio
+
+@dataclass(frozen=True)
+class LinFrac:
+    """One chain parameter: clamp01(alpha + (n0 + n.v) / (d0 + d.v)).
+
+    ``n`` and ``d`` are the sorted nonzero (variable, coefficient) terms of
+    the numerator and the denominator; all numbers are ``Fraction``s.  A
+    parameter without a quotient has d0 = 1 and no ``d`` terms.
+    """
+
+    alpha: Fraction
+    n0: Fraction
+    n: tuple
+    d0: Fraction
+    d: tuple
+
+    def ev(self, env):
+        """The value at the point ``env``.
+
+        Each affine part adds its terms in sorted order and then its
+        constant, the order ``nlp.chain_bounds`` encloses them in; a
+        ``Fraction`` on either side of the quotient makes it exact, and a
+        parameter without variables stays an exact ``Fraction``.  Raises
+        ZeroDivisionError where the denominator is 0 (an empty set).
+        """
+        v = _affine_ev(self.n0, self.n, env)
+        if self.d or self.d0 != 1:
+            den = _affine_ev(self.d0, self.d, env)
+            if den == 0:
+                # the formula is formatted only if shown: instantiate
+                # catches this for every empty set
+                raise ZeroDivisionError(self)
+            if isinstance(v, Fraction) or isinstance(den, Fraction):
+                v = Fraction(v) / Fraction(den)
+            else:
+                v = v / den
+        if self.alpha != 0:
+            v = self.alpha + v
+        return min(max(v, 0 * v), 1)
+
+    def __repr__(self):
+        text = _affine_text(self.n0, self.n)
+        if self.d or self.d0 != 1:
+            text = f"{_paren(text)} / {_paren(_affine_text(self.d0, self.d))}"
+        if self.alpha != 0:
+            text = f"{self.alpha} + {text}"
+        return f"clamp01({text})"
+
+
+def _affine_ev(c0, terms, env):
+    total = None
+    for v, c in terms:
+        x = env[v]
+        t = x if c == 1 else c * x
+        total = t if total is None else total + t
+    if total is None:
+        return c0
+    return total if c0 == 0 else c0 + total
+
+
+def _affine_text(c0, terms) -> str:
+    parts = [("- " if c < 0 else "+ ") + (v if abs(c) == 1 else f"{abs(c)}*{v}")
+             for v, c in terms]
+    if c0 != 0 or not parts:
+        const = ("- " if c0 < 0 else "+ ") + str(abs(c0))
+        if c0 > 0 and parts and parts[0][0] == "-":
+            parts.insert(0, const)  # 1 - gC2 rather than -gC2 + 1
+        else:
+            parts.append(const)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _paren(text: str) -> str:
+    return f"({text})" if " " in text else text
+
+
+def _terms(coeffs: dict) -> tuple:
+    return tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
+
+
+def ratio(num: tuple, den: tuple) -> LinFrac:
+    """clamp01(num / den) for affine ``num`` and ``den``, each given as
+    (constant, {variable: coefficient}).
+
+    Interval arithmetic treats each occurrence of a variable on its own, so
+    (b + g - 1)/g encloses far more than its range while the equal
+    1 + (b - 1)/g is exact.  The numerator therefore gives up the multiple
+    alpha of the denominator that cancels the most variables the two share;
+    the value is unchanged wherever the ratio is defined.
+    """
+    n0, n = Fraction(num[0]), {v: Fraction(c) for v, c in num[1].items()}
+    d0, d = Fraction(den[0]), {v: Fraction(c) for v, c in den[1].items()}
+    names = sorted(n.keys() | d.keys())
+    shared = [v for v in names if n.get(v, 0) != 0 and d.get(v, 0) != 0]
+    alpha, best = Fraction(0), 0
+    for cand in {n[v] / d[v] for v in shared}:
+        killed = sum(1 for v in shared if n[v] - cand * d[v] == 0)
+        if killed > best:
+            best, alpha = killed, cand
+    rest = {v: n.get(v, 0) - alpha * d.get(v, 0) for v in names}
+    return LinFrac(alpha, n0 - alpha * d0, _terms(rest), d0, _terms(d))
+
+
+_ATOM = r"\d+|[A-Za-z_]\w*"
+_AFFINE = re.compile(rf"[+-]?\s*(?:{_ATOM})(?:\s*[+-]\s*(?:{_ATOM}))*")
+_TERM = re.compile(rf"([+-]?)\s*({_ATOM})")
+
+
+def _affine_of(side: str, text: str) -> tuple:
+    body = side.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1].strip()
+    if not _AFFINE.fullmatch(body):
+        raise ValueError(f"{text!r} is not affine or affine / affine "
+                         "(integer constants and +-variables only)")
+    const, coeffs = 0, {}
+    for sign, atom in _TERM.findall(body):
+        c = -1 if sign == "-" else 1
+        if atom.isdigit():
+            const += c * int(atom)
+        else:
+            coeffs[atom] = coeffs.get(atom, 0) + c
+    return const, coeffs
+
+
+def read_param(text: str) -> LinFrac:
+    """The ``LinFrac`` of a table formula: ``affine`` or ``affine / affine``,
+    each side optionally in parentheses.  Raises ValueError naming the text
+    for anything else."""
+    sides = text.split("/")
+    if len(sides) > 2:
+        raise ValueError(f"{text!r} has more than one quotient")
+    den = _affine_of(sides[1], text) if len(sides) == 2 else (1, {})
+    return ratio(_affine_of(sides[0], text), den)
 
 
 def set_names(m: int) -> list:
@@ -149,9 +287,9 @@ _M = {"alg1": 1, "alg2": 2, "alg3": 3, "uniform": 2}
 
 @lru_cache(maxsize=None)
 def builtin_tables() -> dict:
-    """Published chain families as parsed parameter expressions.
+    """Published chain families as exact parameters.
 
-    Returns {name: (m, [chain dict set_name -> clamp01(Expr)])}.
+    Returns {name: (m, [chain dict set_name -> LinFrac])}.
     """
     out = {}
     for name, rows in _RAW.items():
@@ -160,7 +298,6 @@ def builtin_tables() -> dict:
         chains = []
         for row in rows:
             assert len(row) == 3 * m
-            chains.append({w: clamp01(reduce_ratio(parse(f)))
-                           for w, f in zip(names, row)})
+            chains.append({w: read_param(f) for w, f in zip(names, row)})
         out[name] = (m, chains)
     return out

@@ -29,6 +29,7 @@ from bipoint.instances import connection_cost_float, synthesize_random_bipoint
 from bipoint.partition import build_partition, build_stars
 from bipoint.rounding import fractional_budget, sr_cost_bound, srdr, star_round
 from bipoint.tables import builtin_tables, set_names
+from reference_trees import as_tree
 
 F = Fraction
 PHI = (1 + math.sqrt(5)) / 2
@@ -258,9 +259,10 @@ def test_10_chain_coverage():
         by_env = {}
         for env, can in universe:
             by_env.setdefault(id(env), (env, set()))[1].add(can)
+        cover_params = [c.params() for c in cover]
         for env, wanted in by_env.values():
-            got = {canonical(instantiate(c.params(), env), env, 2)
-                   for c in cover}
+            got = {canonical(instantiate(p, env), env, 2)
+                   for p in cover_params}
             assert wanted <= got
     print(f"\ngrid points={len(envs)} vectors={len(universe)} "
           f"greedy_cover={len(cover)} (published hand cover: 22)")
@@ -339,7 +341,7 @@ def test_12_soundness_suites():
                     for j, W in enumerate(set_names(m)):
                         cases += 1
                         v = vals[W]
-                        enc = params[W].box(ienv)
+                        enc = as_tree(params[W]).box(ienv)
                         if v is None:
                             continue
                         if not enc.empty and not enc.contains(v, slack=1e-7):

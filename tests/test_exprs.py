@@ -19,16 +19,14 @@ from bipoint.exprs import (
     Interval,
     Op,
     Var,
-    clamp01,
     iadd,
     iclamp01,
     idiv,
     imul,
     isub,
     iv,
-    parse,
-    variables,
 )
+from bipoint.tables import read_param
 
 INF = math.inf
 
@@ -84,31 +82,10 @@ def test_clamp():
     assert iclamp01(EMPTY).empty
 
 
-def test_parse_round_trip_eval():
-    e = parse("clamp01((b + gA1 - gC1) / gA1)")
-    assert variables(e) == {"b", "gA1", "gC1"}
-    env = {"b": Fraction(1, 2), "gA1": Fraction(1, 4), "gC1": Fraction(1)}
-    # (1/2 + 1/4 - 1) / (1/4) = -1 -> clamped to 0
-    assert e.ev(env) == 0
-    env["gC1"] = Fraction(5, 8)
-    assert e.ev(env) == Fraction(1, 2)
-
-
-def test_parse_min_max_unary_minus():
-    e = parse("min(1, max(b, -b))")
-    assert e.ev({"b": Fraction(3, 4)}) == Fraction(3, 4)
-    assert e.ev({"b": Fraction(-2)}) == 1
-
-
 def test_ev_zero_division_raises():
-    e = parse("b / gA1")
+    p = read_param("b / gA1")
     with pytest.raises(ZeroDivisionError):
-        e.ev({"b": Fraction(1), "gA1": Fraction(0)})
-
-
-def test_expr_operator_sugar():
-    e = (Var("x") + 1) * Var("y") - Fraction(1, 2)
-    assert e.ev({"x": Fraction(1, 2), "y": Fraction(2)}) == Fraction(5, 2)
+        p.ev({"b": Fraction(1), "gA1": Fraction(0)})
 
 
 # --- containment property ---------------------------------------------------
@@ -141,7 +118,7 @@ def rand_expr(draw, depth=0):
     b = draw(rand_expr(depth=depth + 1))
     e = Op(op, a, b)
     if draw(st.booleans()):
-        e = clamp01(e)
+        e = Op("clamp01", e)
     return e
 
 

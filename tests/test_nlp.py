@@ -1,10 +1,12 @@
 """Factor-revealing program: interval relaxation soundness, branch-and-bound
 certification, checkpointing, and the published reference points."""
 
+import hashlib
 import heapq
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,7 +17,6 @@ import pytest
 from bipoint import nlp
 from bipoint.algfamily import cost_bound, derive_gamma_env, generate_chains, \
     instantiate, is_valid
-from bipoint.exprs import clamp01, parse, reduce_ratio
 from bipoint.nlp import (
     branch_and_bound,
     evaluate_point,
@@ -29,7 +30,8 @@ from bipoint.nlp import (
     replay_certificate,
     solve_lp,
 )
-from bipoint.tables import set_names
+from bipoint.tables import read_param, set_names
+from reference_trees import as_tree
 
 
 def rand_box(rng, m):
@@ -90,7 +92,7 @@ def test_chain_enclosures_contain_point_values():
                 vals = instantiate(params, fenv)
                 for j, W in enumerate(set_names(m)):
                     v = vals[W]
-                    enc = params[W].box(ienv)
+                    enc = as_tree(params[W]).box(ienv)
                     if v is None:
                         continue  # empty set at this exact point
                     # the empty marker, (1, 0) in the batched bounds, requires
@@ -373,7 +375,7 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
     sets, keys = set_names(model.m), model.class_keys()
     for box in _lp_boxes(model, 11, 30):
         env = gamma_intervals(box, model.m)
-        pboxes = [{W: params[W].box(env) for W in sets}
+        pboxes = [{W: as_tree(params[W]).box(env) for W in sets}
                   for params in model.chains]
         bounds = np.array([[_p_bounds(pb[W]) for W in sets] for pb in pboxes])
         c1, c2 = relaxed_cost_coeffs(bounds[..., 0], bounds[..., 1],
@@ -396,7 +398,7 @@ def _reference_relax_to_lp(model, box):
     nv = len(var_names)
     A_ub, b_ub = [], []
     for params in model.chains:
-        pboxes = {W: params[W].box(env) for W in set_names(m)}
+        pboxes = {W: as_tree(params[W]).box(env) for W in set_names(m)}
         r = np.zeros(nv)
         r[0] = 1.0
         for (z, x, y), (c1, c2) in _reference_cost_coeffs(
@@ -491,18 +493,48 @@ def test_relax_to_lp_bit_identical_to_per_chain_loop(name):
         assert got.var_names == want.var_names
 
 
+@pytest.mark.parametrize("formula", ["min(b, 1)", "b * gA2", "0.5 * b",
+                                     "b / gA2 / gA2"])
+def test_read_param_rejects_what_is_not_linear_fractional(formula):
+    with pytest.raises(ValueError, match=re.escape(repr(formula))):
+        read_param(formula)
+
+
 @pytest.mark.parametrize("formula,why", [
-    ("min(b, 1)", "is not clamp01"),
-    ("b * gA2", "is not clamp01"),
     ("b / gA1", "uses gA1"),
 ])
 def test_compile_rejects_what_it_cannot_enclose(formula, why):
     model = model_for_table("alg2", [0.6586])
-    chain = dict(model.chains[3], B2=clamp01(reduce_ratio(parse(formula))))
+    chain = dict(model.chains[3], B2=read_param(formula))
     bad = nlp.NlpModel(m=2, g_bounds=model.g_bounds,
                        chains=[model.chains[0], chain])
     with pytest.raises(ValueError, match=f"chain 1, set B2: .* {why}"):
         nlp.compile_chains(bad)
+
+
+# table: (inner thresholds, sha256 of its compiled coefficient arrays),
+# pinned when the parameters were still parsed into expression trees and
+# normalized by probing them
+PINNED_CHAIN_TABLES = {
+    "alg1": ([], "7ce597343faedf97f5ed0acc466a7746"
+                 "d18ad911a571e8f8bee6ae29640e152f"),
+    "alg2": ([0.6586], "2832970502693cdb40a26cf079fab1fe"
+                       "188f5da749de3f9799c09071f76ee6d8"),
+    "alg3": ([0.642, 0.833], "834436fbffb392c84b41d039471ace08"
+                             "42a59e0d4d5cc9509c468702853ad936"),
+    "uniform": ([0.6586], "648157b88bf64648363160f924e3587b"
+                          "aef066467869559551a55cfd329278d3"),
+}
+
+
+@pytest.mark.parametrize("table", list(PINNED_CHAIN_TABLES))
+def test_compiled_chain_table_is_pinned(table):
+    g, want = PINNED_CHAIN_TABLES[table]
+    t = nlp.compile_chains(model_for_table(table, g))
+    h = hashlib.sha256(repr((t.names, t.alpha.shape, t.coef.shape)).encode())
+    for a in (t.alpha, t.const, t.coef):
+        h.update(a.tobytes())
+    assert h.hexdigest() == want
 
 
 def test_hard_point_reference_value():
