@@ -125,7 +125,7 @@ def cmd_gap_verify(args) -> int:
         {"x_A": float(v.x_A), "x_C": float(v.x_C), "x_B": float(v.x_B),
          "f": float(v.value)} for v in verts
     ]
-    report["sqrt_phi"] = float(golden.mpmath.sqrt(golden.mpmath.phi))
+    report["sqrt_phi"] = float(golden.F_S)
     report["min_vertex_minus_sqrt_phi"] = report["vertices"][0]["f"] - \
         report["sqrt_phi"]
     if args.explicit:
@@ -145,8 +145,7 @@ def cmd_gap_brute(args) -> int:
     sol = golden.build_golden(args.k)
     t0 = time.time()
     open_set, cost = golden.brute_force_opt(
-        sol.instance, budget=args.budget, prune=not args.no_prune,
-        jobs=args.jobs)
+        sol.instance, budget=args.budget, prune=not args.no_prune)
     c = golden.golden_constants(args.k)
     bound = golden.rational_vertex_bound(c)
     report = {
@@ -157,7 +156,7 @@ def cmd_gap_brute(args) -> int:
         "fractional_cost": float(sol.cost),
         "ratio": float(cost / sol.cost),
         "vertex_bound": float(bound),
-        "sqrt_phi": float(golden.mpmath.sqrt(golden.mpmath.phi)),
+        "sqrt_phi": float(golden.F_S),
         "dominates_vertex_bound": cost >= bound,
         "seconds": round(time.time() - t0, 3),
     }
@@ -408,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="bi-point rounding algorithms for k-median")
     top.add_argument("--format", choices=["json", "csv"], default="json")
     top.add_argument("--out", help="write the report to a file")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="worker pool size for parallel scans")
     sub = top.add_subparsers(dest="command", required=True)
 
     gap = sub.add_parser("gap", help="golden gap-instance family")

@@ -6,56 +6,41 @@ one unit-mass client spread over every (i1, i2) in A x C and extra mass a on
 the twins; all remaining distances come from the graph metric closure.  The
 fractional solution has cost 1 up to O(1/k) while every integral solution
 costs at least sqrt(phi) - o(1), witnessed by the vertices of a tiny polytope
-over the opening fractions (x_A, x_C, x_B).
+over the opening fractions (x_A, x_C, x_B).  Every constant is exact in the
+number field Q(sqrt(phi)), and one vertex enumerator serves both that field
+and an instance's own rational constants.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
-import sympy as sp
 
 from .instances import (
     BiPointSolution,
     MetricInstance,
     OpenSet,
     connection_cost,
-    connection_cost_float,
 )
-
-mpmath.mp.dps = 50
-
-_PHI = sp.Rational(1, 2) + sp.sqrt(5) / 2
-_SQRT_PHI = sp.sqrt(_PHI)
-_OMEGA = _PHI - _SQRT_PHI
-_ELL = 1 / _PHI
-_R_B = _OMEGA * _SQRT_PHI
-_R_C = (1 - _OMEGA) * _SQRT_PHI
-_B = (1 - _R_B) / _R_C
-
-
-def _to_fraction(expr, max_den=10 ** 9) -> Fraction:
-    return Fraction(str(sp.N(expr, 30))).limit_denominator(max_den)
 
 
 @dataclass
 class GoldenConstants:
-    """Exact symbolic constants plus, when k is given, the rational stand-ins
-    t_B/k, t_C/k and the exact b derived from them."""
+    """The exact constants in Q(sqrt(phi)) plus, when k is given, the
+    rational stand-ins t_B/k, t_C/k, l_q and the exact b derived from them."""
 
-    phi: object
-    omega: object
-    ell: object
-    r_B: object
-    r_C: object
-    b: object
-    a: object
+    phi: FieldElt
+    omega: FieldElt
+    ell: FieldElt
+    r_B: FieldElt
+    r_C: FieldElt
+    b: FieldElt
+    a: FieldElt
     k: int = None
     t_B: int = None
     t_C: int = None
@@ -64,21 +49,21 @@ class GoldenConstants:
     a_q: Fraction = None
 
     def floats(self) -> dict:
-        return {n: float(sp.N(getattr(self, n), 30))
+        return {n: float(getattr(self, n))
                 for n in ("phi", "omega", "ell", "r_B", "r_C", "b", "a")}
 
 
 def golden_constants(k: int = None) -> GoldenConstants:
-    c = GoldenConstants(phi=_PHI, omega=_OMEGA, ell=_ELL, r_B=_R_B, r_C=_R_C,
-                        b=_B, a=1 - _B)
+    c = GoldenConstants(phi=F_PHI, omega=F_OMEGA, ell=F_ELL, r_B=F_RB,
+                        r_C=F_RC, b=F_B, a=F_A)
     if k is not None:
-        t_B = int(sp.floor(_R_B * k + sp.Rational(1, 2)))
-        t_C = int(sp.floor(_R_C * k + sp.Rational(1, 2)))
+        t_B = math.floor(F_RB * k + Fraction(1, 2))
+        t_C = math.floor(F_RC * k + Fraction(1, 2))
         if t_B < 1 or t_C < 1:
             raise ValueError(f"k={k} too small for the construction")
         b_q = Fraction(k - t_B, t_C)  # (1 - t_B/k) / (t_C/k)
         c.k, c.t_B, c.t_C = k, t_B, t_C
-        c.ell_q = _to_fraction(_ELL)
+        c.ell_q = ELL_Q
         c.b_q = b_q
         c.a_q = 1 - b_q
     return c
@@ -201,48 +186,40 @@ class ProfileVertex:
         return (self.x_A, self.x_C, self.x_B)
 
 
-def _f_expr(x_A, x_B, x_C, c: GoldenConstants):
-    ell, a = c.ell, c.a
-    slack = 1 - x_B - x_A
-    if isinstance(slack, sp.Expr):
-        pos = sp.Max(slack, 0)
-    else:
-        pos = max(slack, 0)
-    return ell + 2 * (1 - x_C) * (1 - ell * x_A) + 2 * a * ell * (1 - x_B) \
-        + 2 * a * pos
+def _vertices(r_B, r_C, ell, a, rhs) -> list:
+    """Vertices of {x in [0,1]^3 : r_B x_A + r_B x_B + r_C x_C = rhs}, each
+    with the objective f, sorted stably by f.  A vertex fixes two coordinates
+    at 0 or 1 and solves the equality for the third.  Exact in whichever
+    ordered field the constants live in: FieldElt for the limit, Fraction
+    for an instance's t_B/k and t_C/k."""
+    coeff = (r_B, r_B, r_C)
+    verts = []
+    for free in (2, 1, 0):  # solve for x_C, then x_B, then x_A
+        rest = coeff[:free] + coeff[free + 1:]
+        for u, v in itertools.product((0, 1), repeat=2):
+            t = (rhs - rest[0] * u - rest[1] * v) / coeff[free]
+            if not 0 <= t <= 1:
+                continue
+            x = [u, v]
+            x.insert(free, t)
+            if any(x == [p.x_A, p.x_B, p.x_C] for p in verts):
+                continue
+            x_A, x_B, x_C = x
+            value = ell + 2 * (1 - x_C) * (1 - ell * x_A) \
+                + 2 * a * ell * (1 - x_B) + 2 * a * max(1 - x_B - x_A, 0)
+            verts.append(ProfileVertex(x_A=x_A, x_B=x_B, x_C=x_C,
+                                       value=value))
+    verts.sort(key=lambda p: p.value)
+    return verts
 
 
 def extreme_points(c: GoldenConstants = None, surplus=0) -> list:
     """Vertices of {x in [0,1]^3 : x_A r_B + x_B r_B + x_C r_C = 1 + surplus}
-    with the objective f evaluated at each; exact when surplus is symbolic
-    or zero."""
+    with the objective f evaluated at each; exact in Q(sqrt(phi)) for a
+    rational surplus."""
     if c is None:
         c = golden_constants()
-    coeff = {"x_A": c.r_B, "x_B": c.r_B, "x_C": c.r_C}
-    rhs = 1 + sp.nsimplify(surplus) if surplus else sp.Integer(1)
-    names = ["x_A", "x_B", "x_C"]
-    verts = []
-    seen = set()
-    for fixed in itertools.combinations(names, 2):
-        free = [n for n in names if n not in fixed][0]
-        for vals in itertools.product((sp.Integer(0), sp.Integer(1)),
-                                      repeat=2):
-            point = dict(zip(fixed, vals))
-            rem = rhs - sum(coeff[n] * point[n] for n in fixed)
-            point[free] = rem / coeff[free]
-            if any(sp.N(point[n], 30) < -sp.Float("1e-25")
-                   or sp.N(point[n], 30) > 1 + sp.Float("1e-25")
-                   for n in names):
-                continue
-            key = tuple(str(sp.N(point[n], 25)) for n in names)
-            if key in seen:
-                continue
-            seen.add(key)
-            val = _f_expr(point["x_A"], point["x_B"], point["x_C"], c)
-            verts.append(ProfileVertex(x_A=point["x_A"], x_B=point["x_B"],
-                                       x_C=point["x_C"], value=val))
-    verts.sort(key=lambda v: float(sp.N(v.value, 30)))
-    return verts
+    return _vertices(c.r_B, c.r_C, c.ell, c.a, 1 + Fraction(surplus))
 
 
 def gap_lower_bound(c: GoldenConstants = None, surplus=0):
@@ -254,7 +231,20 @@ def gap_lower_bound(c: GoldenConstants = None, surplus=0):
 
 # Exact arithmetic in Q[s] / (s^4 - s^2 - 1), s = sqrt(phi): every constant
 # of the construction lives in this field (phi = s^2, l = s^2 - 1, 1/s =
-# s^3 - s), so the vertex identities reduce to coefficient comparisons.
+# s^3 - s), so the vertex identities reduce to coefficient comparisons, and
+# signs, comparisons, floors and floats are exact as well.
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_q5(p, q) -> int:
+    """Sign of p + q sqrt(5) for rationals p, q."""
+    sp, sq = _sgn(p), _sgn(q)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp * _sgn(p * p - 5 * q * q)
 
 
 class FieldElt(tuple):
@@ -318,11 +308,77 @@ class FieldElt(tuple):
         return _lift_field(o) * self.inv()
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
+        return not any(self)
 
-    def to_float(self) -> float:
-        s = float(mpmath.sqrt(mpmath.phi))
-        return float(sum(float(a) * s ** i for i, a in enumerate(self)))
+    def sign(self) -> int:
+        """Exact sign.  Write self = P + s Q with P = a0 + a2 phi and
+        Q = a1 + a3 phi in Q(sqrt 5); when P and Q have opposite signs the
+        larger of P^2 and phi Q^2 wins, and P^2 - phi Q^2 is self times its
+        conjugate under s -> -s."""
+        a0, a1, a2, a3 = self
+        # phi = 1/2 + sqrt(5)/2
+        sp = _sign_q5(a0 + a2 / 2, a2 / 2)
+        sq = _sign_q5(a1 + a3 / 2, a3 / 2)
+        if sp * sq >= 0:
+            return sp or sq
+        n0, _, n2, _ = self * FieldElt((a0, -a1, a2, -a3))
+        return sp * _sign_q5(n0 + n2 / 2, n2 / 2)
+
+    def __eq__(self, o):
+        if not isinstance(o, (FieldElt, int, Fraction)):
+            return NotImplemented
+        return (self - o).is_zero()
+
+    def __ne__(self, o):
+        eq = self.__eq__(o)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        # a rational element hashes like the Fraction it equals
+        return hash(self[0]) if not any(self[1:]) else tuple.__hash__(self)
+
+    def __lt__(self, o):
+        return (self - o).sign() < 0
+
+    def __le__(self, o):
+        return (self - o).sign() <= 0
+
+    def __gt__(self, o):
+        return (self - o).sign() > 0
+
+    def __ge__(self, o):
+        return (self - o).sign() >= 0
+
+    def _enclosure(self, bits: int) -> tuple:
+        """Rationals lo <= self <= hi, from s bracketed between consecutive
+        multiples of 2**-bits with integer square roots."""
+        m = (4 ** bits + math.isqrt(5 * 16 ** bits)) // 2  # floor(phi 4^bits)
+        r = math.isqrt(m)
+        s_lo, s_hi = Fraction(r, 2 ** bits), Fraction(r + 1, 2 ** bits)
+        lo = hi = 0
+        for i, a in enumerate(self):
+            lo += a * (s_lo if a > 0 else s_hi) ** i
+            hi += a * (s_hi if a > 0 else s_lo) ** i
+        return lo, hi
+
+    def _settle(self, f):
+        """f(self) for a non-decreasing step function f of the reals, by
+        narrowing the enclosure until f agrees on both ends.  This ends for
+        every element: a rational one is enclosed exactly, and an irrational
+        one is neither a float nor an integer."""
+        bits = 64
+        while True:
+            lo, hi = self._enclosure(bits)
+            if f(lo) == f(hi):
+                return f(lo)
+            bits *= 2
+
+    def __float__(self) -> float:
+        """The nearest float, correctly rounded."""
+        return self._settle(float)
+
+    def __floor__(self) -> int:
+        return self._settle(math.floor)
 
 
 def _lift_field(v):
@@ -340,129 +396,77 @@ F_RC = (1 - F_OMEGA) * F_S
 F_B = (1 - F_RB) / F_RC
 F_A = 1 - F_B
 F_INV_S = F_S * F_S * F_S - F_S  # 1/s since s(s^3 - s) = s^4 - s^2 = 1
-
-
-def _field_vertices() -> list:
-    """Exact polytope vertices and objective values in the number field."""
-    coeff = {"x_A": F_RB, "x_B": F_RB, "x_C": F_RC}
-    names = ["x_A", "x_B", "x_C"]
-    verts = []
-    seen = set()
-    for fixed in itertools.combinations(names, 2):
-        free = [n for n in names if n not in fixed][0]
-        for vals in itertools.product((0, 1), repeat=2):
-            point = dict(zip(fixed, vals))
-            rem = 1 - sum(coeff[n] * point[n] for n in fixed)
-            point[free] = rem / coeff[free]
-            fv = {n: _lift_field(point[n]).to_float() for n in names}
-            if any(fv[n] < -1e-12 or fv[n] > 1 + 1e-12 for n in names):
-                continue
-            key = tuple(round(fv[n], 12) for n in names)
-            if key in seen:
-                continue
-            seen.add(key)
-            x_A, x_B, x_C = (_lift_field(point[n]) for n in names)
-            slack = 1 - x_B - x_A
-            pos = slack if slack.to_float() > 1e-12 else _lift_field(0)
-            val = F_ELL + 2 * (1 - x_C) * (1 - F_ELL * x_A) \
-                + 2 * F_A * F_ELL * (1 - x_B) + 2 * F_A * pos
-            verts.append((point, val))
-    verts.sort(key=lambda t: t[1].to_float())
-    return verts
+# l's rational stand-in: the closest fraction to 1/phi with a denominator of
+# at most 10**9, read off 30 exact digits
+ELL_Q = Fraction(math.floor(F_ELL * 10 ** 30), 10 ** 30) \
+    .limit_denominator(10 ** 9)
 
 
 def rational_vertex_bound(c: GoldenConstants, surplus=0) -> Fraction:
     """Vertex minimum of the opening polytope built from the instance's own
     rational constants r_B = t_B/k, r_C = t_C/k; exact, and a valid lower
     bound on the cost of any solution opening k + surplus*k facilities."""
-    rB = Fraction(c.t_B, c.k)
-    rC = Fraction(c.t_C, c.k)
-    ell, a = c.ell_q, c.a_q
-    coeff = {"x_A": rB, "x_B": rB, "x_C": rC}
-    rhs = 1 + Fraction(surplus)
-    names = ["x_A", "x_B", "x_C"]
-    best = None
-    for fixed in itertools.combinations(names, 2):
-        free = [n for n in names if n not in fixed][0]
-        for vals in itertools.product((Fraction(0), Fraction(1)), repeat=2):
-            point = dict(zip(fixed, vals))
-            rem = rhs - sum(coeff[n] * point[n] for n in fixed)
-            point[free] = rem / coeff[free]
-            if any(not (0 <= point[n] <= 1) for n in names):
-                continue
-            x_A, x_B, x_C = point["x_A"], point["x_B"], point["x_C"]
-            val = ell + 2 * (1 - x_C) * (1 - ell * x_A) \
-                + 2 * a * ell * (1 - x_B) + 2 * a * max(1 - x_B - x_A, 0)
-            if best is None or val < best:
-                best = val
-    return best
+    verts = _vertices(Fraction(c.t_B, c.k), Fraction(c.t_C, c.k), c.ell_q,
+                      c.a_q, 1 + Fraction(surplus))
+    return verts[0].value if verts else None
 
 
 def verify_gap_identities() -> dict:
     """Exact checks in Q(sqrt(phi)): the defining quadratic of phi, the
     four-way tie of the minimizing vertices at sqrt(phi), the odd vertex
     out, and the facility / cost ratio identities."""
-    verts = _field_vertices()
-    ties = [v for _, v in verts if (v - F_S).is_zero()]
-    odd = [v for _, v in verts if not (v - F_S).is_zero()]
+    values = [v.value for v in extreme_points()]
+    ties = [v for v in values if v == F_S]
+    odd = [v for v in values if v != F_S]
     v5_target = 3 * F_ELL + 2 * F_INV_S - 2  # 3/phi + 2/sqrt(phi) - 2
     D1 = (2 - F_ELL) + 2 * F_A * F_ELL
-    sqrt_phi_50 = mpmath.nstr(mpmath.sqrt(mpmath.phi), 50)
-    min50 = _field_eval_50(verts[0][1])
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(mpmath.phi)
+        sqrt_phi_50 = mpmath.nstr(s, 50)
+        total = mpmath.mpf(0)
+        for i, a in enumerate(values[0]):
+            total += mpmath.mpf(a.numerator) / mpmath.mpf(a.denominator) \
+                * s ** i
+        min50 = mpmath.nstr(total, 50)
     return {
         "phi_quadratic": (F_PHI * F_PHI - F_PHI - 1).is_zero(),
-        "n_vertices": len(verts),
+        "n_vertices": len(values),
         "n_at_sqrt_phi": len(ties),
-        "odd_vertex_value_ok": len(odd) == 1 and (odd[0] - v5_target).is_zero(),
-        "min_is_sqrt_phi": (verts[0][1] - F_S).is_zero(),
-        "facility_ratio_is_omega": (F_RB / (F_RB + F_RC) - F_OMEGA).is_zero(),
-        "cost_ratio_is_omega": (F_ELL / D1 - F_OMEGA).is_zero(),
+        "odd_vertex_value_ok": len(odd) == 1 and odd[0] == v5_target,
+        "min_is_sqrt_phi": values[0] == F_S,
+        "facility_ratio_is_omega": F_RB / (F_RB + F_RC) == F_OMEGA,
+        "cost_ratio_is_omega": F_ELL / D1 == F_OMEGA,
         "sqrt_phi_50_digits": sqrt_phi_50,
         "min_value_50_digits": min50,
         "min_matches_50_digits": min50 == sqrt_phi_50,
     }
 
 
-def _field_eval_50(elt: FieldElt) -> str:
-    s = mpmath.sqrt(mpmath.phi)
-    total = mpmath.mpf(0)
-    for i, a in enumerate(elt):
-        total += mpmath.mpf(a.numerator) / mpmath.mpf(a.denominator) * s ** i
-    return mpmath.nstr(total, 50)
-
-
 # --- brute force ------------------------------------------------------------
 
 
-def _scan_combos(combos, rows, u, prune, shared):
-    """Scan an iterable of index tuples, pruning against a shared bound.
-
-    ``shared`` is a single-element list holding the best cost seen by any
-    worker; it only ever decreases, so stale reads just weaken the prune.
-    """
+def _scan_combos(combos, rows, u, prune):
+    """Cheapest of an iterable of facility index tuples, as (float cost,
+    tuple); with ``prune``, a subset's per-client sum stops as soon as it
+    reaches the best cost so far."""
     best_cost = math.inf
     best_subset = None
     for combo in combos:
         sub = rows[:, combo].min(axis=1)
-        bound = min(best_cost, shared[0])
         if prune:
             acc = 0.0
-            ok = True
             for w, d in zip(u, sub):
                 acc += w * d
-                if acc >= bound:
-                    ok = False
+                if acc >= best_cost:
                     break
-            if ok:
+            else:
                 best_cost = acc
                 best_subset = combo
-                shared[0] = min(shared[0], acc)
         else:
             cost = float((u * sub).sum())
             if cost < best_cost:
                 best_cost = cost
                 best_subset = combo
-                shared[0] = min(shared[0], cost)
     return best_cost, best_subset
 
 
@@ -471,36 +475,23 @@ def brute_force_opt(inst: MetricInstance, k: int = None, budget: int = None,
     """Exact optimum over all k-subsets of the facilities.
 
     The float scan finds the argmin (with per-client early abort when
-    pruning); the winner is re-costed in exact arithmetic.  With ``jobs`` > 1
-    the chunks (split on the first facility index) share the incumbent cost
-    as a pruning bound and the reduction breaks ties lexicographically;
-    exact float-cost ties across chunks may resolve either way.
+    pruning); the winner is re-costed in exact arithmetic.  The scan runs on
+    one thread: ``jobs`` is accepted for old callers and must be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs}: the scan runs on one thread")
     k = inst.k if k is None else k
     fac = sorted(inst.facilities)
     total = math.comb(len(fac), k)
     if budget is not None and total > budget:
         raise ValueError(f"{total} subsets exceed the budget {budget}")
+    if total == 0:
+        raise ValueError(f"no {k}-subset of {len(fac)} facilities")
     D = inst.dist_array()
     u = np.array([float(inst.demand(j)) for j in inst.clients])
     rows = D[np.ix_(inst.clients, fac)]
-    shared = [math.inf]
-    n = len(fac)
-    if jobs <= 1:
-        results = [_scan_combos(itertools.combinations(range(n), k),
-                                rows, u, prune, shared)]
-    else:
-        def chunk(first):
-            rest = itertools.combinations(range(first + 1, n), k - 1)
-            return [(first,) + tail for tail in rest]
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda f: _scan_combos(chunk(f), rows, u, prune, shared),
-                range(n - k + 1)))
-    best_cost, best_subset = min(
-        (r for r in results if r[1] is not None),
-        key=lambda r: (r[0], r[1]))
+    _, best_subset = _scan_combos(itertools.combinations(range(len(fac)), k),
+                                  rows, u, prune)
     chosen = frozenset(fac[i] for i in best_subset)
     exact = connection_cost(inst, OpenSet(chosen))
     return OpenSet(chosen), exact

@@ -16,6 +16,7 @@ until the worklist empties.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -450,20 +451,8 @@ def _split(box: dict, min_width=1e-9) -> list:
             split_any = True
     if not split_any:
         return []
-    out = []
     names = list(box)
-    for combo in _product(axes):
-        out.append(dict(zip(names, combo)))
-    return out
-
-
-def _product(axes):
-    if not axes:
-        yield ()
-        return
-    for head in axes[0]:
-        for rest in _product(axes[1:]):
-            yield (head,) + rest
+    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
 def initial_boxes(model: NlpModel) -> list:
@@ -475,7 +464,7 @@ def initial_boxes(model: NlpModel) -> list:
             axes.append([(0.0, 1.0)])
         else:
             axes.append([(0.0, TAIL_N), (TAIL_N, math.inf)])
-    return [dict(zip(names, combo)) for combo in _product(axes)]
+    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
 def branch_and_bound(model: NlpModel, target: float, budget: int = None,

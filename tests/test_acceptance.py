@@ -244,7 +244,7 @@ def test_10_chain_coverage():
     with Budget(10 * 60):
         for env in envs:
             # instantiate chains lazily; most vectors match an early chain
-            cans = []
+            cans = set()
             it = iter(params)
             for spec in enumerate_algm(2, env):
                 want = canonical(spec, env, 2)
@@ -252,7 +252,7 @@ def test_10_chain_coverage():
                     p = next(it, None)
                     if p is None:
                         break
-                    cans.append(canonical(instantiate(p, env), env, 2))
+                    cans.add(canonical(instantiate(p, env), env, 2))
                 assert want in cans, (env["b"], env["gA2"], want)
                 universe.append((env, want))
         cover = greedy_cover(chains, universe)

@@ -3,12 +3,20 @@ vertex enumeration in the number field, and brute-force dominance."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bipoint import golden
 from bipoint.golden import (
+    ELL_Q,
     FieldElt,
     F_B,
     F_ELL,
@@ -40,7 +48,7 @@ def test_field_arithmetic():
     assert (F_ELL * F_PHI - 1).is_zero()  # ell = 1/phi
     x = FieldElt((Fraction(3), Fraction(-2), Fraction(1), Fraction(5)))
     assert (x * x.inv() - 1).is_zero()
-    assert abs(F_S.to_float() - math.sqrt(PHI)) < 1e-12
+    assert abs(float(F_S) - math.sqrt(PHI)) < 1e-12
 
 
 def test_constants_structure():
@@ -146,3 +154,99 @@ def test_brute_force_budget():
     sol = build_golden(6)
     with pytest.raises(ValueError):
         brute_force_opt(sol.instance, budget=10)
+
+
+def test_brute_force_runs_on_one_thread():
+    sol = build_golden(6)
+    with pytest.raises(ValueError):
+        brute_force_opt(sol.instance, jobs=2)
+
+
+# (t_B, t_C, b_q) of the construction for a ladder of k
+PINNED_CONSTANTS = {
+    6: (3, 5, "3/5"), 7: (3, 6, "2/3"), 8: (4, 7, "4/7"), 9: (4, 7, "5/7"),
+    10: (4, 8, "3/4"), 11: (5, 9, "2/3"), 12: (5, 10, "7/10"),
+    100: (44, 83, "56/83"), 10 ** 4: (4401, 8319, "5599/8319"),
+}
+
+
+def test_golden_constants_pinned():
+    for k, (t_B, t_C, b_q) in PINNED_CONSTANTS.items():
+        c = golden_constants(k)
+        assert (c.t_B, c.t_C, c.ell_q, c.b_q) == \
+            (t_B, t_C, Fraction(433494437, 701408733), Fraction(b_q)), k
+
+
+# (x_A, x_B, x_C, f) of every vertex, in order, as exact floats
+PINNED_VERTICES = [
+    ("0x0.0p+0", "0x1.0p+0", "0x1.5894654ef7052p-1", "0x1.45a3146a88456p+0"),
+    ("0x1.0p+0", "0x0.0p+0", "0x1.5894654ef7052p-1", "0x1.45a3146a88456p+0"),
+    ("0x1.0p+0", "0x1.0p+0", "0x1.26c065ad095bap-3", "0x1.45a3146a88456p+0"),
+    ("0x0.0p+0", "0x1.8722191a02d61p-2", "0x1.0p+0", "0x1.45a3146a88456p+0"),
+    ("0x1.8722191a02d61p-2", "0x0.0p+0", "0x1.0p+0", "0x1.6d28dc1ed6b12p+0"),
+]
+
+
+def test_extreme_points_pinned_floats():
+    got = [(float(v.x_A), float(v.x_B), float(v.x_C), float(v.value))
+           for v in extreme_points()]
+    assert got == [tuple(map(float.fromhex, row)) for row in PINNED_VERTICES]
+
+
+def _mp50(x: FieldElt):
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(mpmath.phi)
+        return mpmath.fsum(mpmath.mpf(a.numerator) / a.denominator * s ** i
+                           for i, a in enumerate(x))
+
+
+_coeff = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+_elts = st.builds(FieldElt, st.lists(_coeff, min_size=4, max_size=4))
+
+
+def _near_zero(x: FieldElt, max_den: int) -> FieldElt:
+    """x minus a close rational approximation of it."""
+    with mpmath.workdps(50):
+        approx = Fraction(mpmath.nstr(_mp50(x), 40))
+    return x - approx.limit_denominator(max_den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _elts,
+    st.builds(_near_zero, _elts, st.integers(1, 10 ** 12)),
+    st.builds(FieldElt, st.lists(st.integers(-3, 3), min_size=4,
+                                 max_size=4)),
+))
+@example(F_ELL - ELL_Q)
+@example(F_S - Fraction(math.sqrt(PHI)))
+@example(F_RB * 10 ** 5 - 43935)
+@example(FieldElt([0, 0, 0, 0]))
+def test_field_sign_and_float_match_50_digits(x):
+    ref = _mp50(x)
+    if x.is_zero():
+        assert ref == 0 and x.sign() == 0 and x == 0
+    else:
+        assert abs(ref) > mpmath.mpf(10) ** -40
+        assert x.sign() == (1 if ref > 0 else -1)
+        assert (x > 0) == (ref > 0) and (x < 0) == (ref < 0) and x != 0
+    assert float(x) == float(ref)
+    assert math.floor(x) == int(mpmath.floor(ref))
+
+
+def test_verify_gap_identities_leaves_mpmath_precision_alone():
+    dps = mpmath.mp.dps
+    verify_gap_identities()
+    assert mpmath.mp.dps == dps
+
+
+def test_cli_import_loads_no_sympy_and_keeps_mpmath_precision():
+    code = ("import sys, mpmath; dps = mpmath.mp.dps; import bipoint.cli; "
+            "print('sympy' in sys.modules, mpmath.mp.dps == dps)")
+    src = str(Path(golden.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
