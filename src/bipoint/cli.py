@@ -144,8 +144,7 @@ def cmd_gap_verify(args) -> int:
 def cmd_gap_brute(args) -> int:
     sol = golden.build_golden(args.k)
     t0 = time.time()
-    open_set, cost = golden.brute_force_opt(
-        sol.instance, budget=args.budget, prune=not args.no_prune)
+    open_set, cost = golden.brute_force_opt(sol.instance, budget=args.budget)
     c = golden.golden_constants(args.k)
     bound = golden.rational_vertex_bound(c)
     report = {
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("brute")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--budget", type=int, default=2_000_000)
-    g.add_argument("--no-prune", action="store_true")
     g.set_defaults(func=cmd_gap_brute)
 
     part = sub.add_parser("partition", help="partition an instance")
@@ -505,12 +503,15 @@ def _alias(args):
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "bound" in argv:
-        # `bound --m 2 ...` is shorthand for `bound run --m 2 ...`
-        i = argv.index("bound")
-        if i + 1 >= len(argv) or argv[i + 1] not in ("point", "run", "-h",
-                                                     "--help"):
-            argv.insert(i + 1, "run")
+    # `bound --m 2 ...` is shorthand for `bound run --m 2 ...`; the command
+    # is the first token that is neither a top-level option nor the value of
+    # one (every top-level option but help takes a value)
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] or argv[i] in ("-h", "--help") else 2
+    if argv[i:i + 1] == ["bound"] and \
+            argv[i + 1:i + 2] not in (["point"], ["run"], ["-h"], ["--help"]):
+        argv.insert(i + 1, "run")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -107,7 +107,10 @@ def gap_summary(k: int) -> dict:
     }
 
 
-def build_golden(k: int, max_points: int = 600) -> BiPointSolution:
+MAX_POINTS = 600  # build_golden's size cap
+
+
+def build_golden(k: int) -> BiPointSolution:
     """Explicit instance with exact rational distances via metric closure.
 
     Only sensible at desk scale: the client count grows like 0.37 k^2, so
@@ -116,9 +119,9 @@ def build_golden(k: int, max_points: int = 600) -> BiPointSolution:
     c = golden_constants(k)
     t_B, t_C, ell = c.t_B, c.t_C, c.ell_q
     n = 3 * t_B + t_C + t_B * t_C
-    if n > max_points:
+    if n > MAX_POINTS:
         raise ValueError(
-            f"k={k} needs {n} points (> {max_points}); use gap_summary")
+            f"k={k} needs {n} points (> {MAX_POINTS}); use gap_summary")
 
     A = list(range(t_B))
     C = list(range(t_B, t_B + t_C))
@@ -146,25 +149,19 @@ def build_golden(k: int, max_points: int = 600) -> BiPointSolution:
         edges.append((j, beta[i], Fraction(0)))
 
     assert next_id == n
-    INFTY = Fraction(10 ** 9)
-    dist = [[INFTY] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = Fraction(0)
+    # every edge length is a multiple of 1/q, so the closure runs exactly on
+    # integers scaled by q; 2 * INFTY still fits in int64
+    q = ELL_Q.denominator
+    INFTY = 10 ** 9 * q
+    dist = np.full((n, n), INFTY, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
     for u, v, w in edges:
-        w = Fraction(w)
-        if w < dist[u][v]:
-            dist[u][v] = dist[v][u] = w
+        w = w * q
+        assert w.denominator == 1, "edge length off the 1/q grid"
+        dist[u, v] = dist[v, u] = min(dist[u, v], int(w))
     for mid in range(n):
-        dm = dist[mid]
-        for u in range(n):
-            du = dist[u]
-            dum = du[mid]
-            if dum == INFTY:
-                continue
-            for v in range(n):
-                alt = dum + dm[v]
-                if alt < du[v]:
-                    du[v] = dist[v][u] = alt
+        np.minimum(dist, dist[:, mid, None] + dist[mid], out=dist)
+    dist = [[Fraction(x, q) for x in row] for row in dist.tolist()]
 
     inst = MetricInstance(n_points=n, dist=dist, clients=clients,
                           facilities=A + B + C, k=k, demands=demands)
@@ -181,9 +178,6 @@ class ProfileVertex:
     x_B: object
     x_C: object
     value: object  # f at the vertex
-
-    def as_tuple_paper_order(self):
-        return (self.x_A, self.x_C, self.x_B)
 
 
 def _vertices(r_B, r_C, ell, a, rhs) -> list:
@@ -445,42 +439,40 @@ def verify_gap_identities() -> dict:
 # --- brute force ------------------------------------------------------------
 
 
-def _scan_combos(combos, rows, u, prune):
+SCAN_CHUNK = 512  # subsets costed per vectorized block
+
+
+def _scan_combos(combos, rows, u):
     """Cheapest of an iterable of facility index tuples, as (float cost,
-    tuple); with ``prune``, a subset's per-client sum stops as soon as it
-    reaches the best cost so far."""
+    tuple), with the first strict minimum winning ties.  Blocks of subsets
+    are costed at once: each subset's per-client distance is a running
+    minimum over its columns of ``rows``, weighted by the demands ``u``."""
     best_cost = math.inf
     best_subset = None
-    for combo in combos:
-        sub = rows[:, combo].min(axis=1)
-        if prune:
-            acc = 0.0
-            for w, d in zip(u, sub):
-                acc += w * d
-                if acc >= best_cost:
-                    break
-            else:
-                best_cost = acc
-                best_subset = combo
-        else:
-            cost = float((u * sub).sum())
-            if cost < best_cost:
-                best_cost = cost
-                best_subset = combo
+    combos = iter(combos)
+    while block := list(itertools.islice(combos, SCAN_CHUNK)):
+        cols = np.array(block).T
+        near = rows[:, cols[0]]
+        for col in cols[1:]:
+            np.minimum(near, rows[:, col], out=near)
+        costs = u @ near
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost, best_subset = float(costs[i]), block[i]
     return best_cost, best_subset
 
 
-def brute_force_opt(inst: MetricInstance, k: int = None, budget: int = None,
-                    prune: bool = True, jobs: int = 1) -> tuple:
+def brute_force_opt(inst: MetricInstance, budget: int = None,
+                    jobs: int = 1) -> tuple:
     """Exact optimum over all k-subsets of the facilities.
 
-    The float scan finds the argmin (with per-client early abort when
-    pruning); the winner is re-costed in exact arithmetic.  The scan runs on
-    one thread: ``jobs`` is accepted for old callers and must be 1.
+    The float scan finds the argmin; the winner is re-costed in exact
+    arithmetic.  The scan runs on one thread: ``jobs`` is accepted for old
+    callers and must be 1.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the scan runs on one thread")
-    k = inst.k if k is None else k
+    k = inst.k
     fac = sorted(inst.facilities)
     total = math.comb(len(fac), k)
     if budget is not None and total > budget:
@@ -491,7 +483,7 @@ def brute_force_opt(inst: MetricInstance, k: int = None, budget: int = None,
     u = np.array([float(inst.demand(j)) for j in inst.clients])
     rows = D[np.ix_(inst.clients, fac)]
     _, best_subset = _scan_combos(itertools.combinations(range(len(fac)), k),
-                                  rows, u, prune)
+                                  rows, u)
     chosen = frozenset(fac[i] for i in best_subset)
     exact = connection_cost(inst, OpenSet(chosen))
     return OpenSet(chosen), exact

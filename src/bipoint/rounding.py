@@ -69,7 +69,6 @@ def srdr(x, a, t: int, rng: random.Random) -> SrdrResult:
         e_up = min(cap(ai, X[i], True), cap(aj, X[j], False))
         e_dn = min(cap(ai, X[i], False), cap(aj, X[j], True))
         if e_up + e_dn == 0:
-            frac = [q for q in frac if _is_fractional(X[q])]
             continue
         p_up = e_dn / (e_up + e_dn)
         if rng.random() < float(p_up):
@@ -78,7 +77,11 @@ def srdr(x, a, t: int, rng: random.Random) -> SrdrResult:
         else:
             X[i] = X[i] - e_dn / ai
             X[j] = X[j] + e_dn / aj
-        frac = [q for q in frac if _is_fractional(X[q])]
+        # only x_i and x_j moved; dropping them in place keeps frac's order,
+        # and with it every later rng.sample draw
+        for q in (i, j):
+            if not _is_fractional(X[q]):
+                frac.remove(q)
     return SrdrResult(X=X, fractional_count=len(frac))
 
 

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bipoint import algfamily, golden, nlp
@@ -25,7 +26,11 @@ from bipoint.algfamily import (
     param_env,
 )
 from bipoint.cli import main
-from bipoint.instances import connection_cost_float, synthesize_random_bipoint
+from bipoint.instances import (
+    connection_cost,
+    connection_cost_float,
+    synthesize_random_bipoint,
+)
 from bipoint.partition import build_partition, build_stars
 from bipoint.rounding import fractional_budget, sr_cost_bound, srdr, star_round
 from bipoint.tables import builtin_tables, set_names
@@ -93,9 +98,16 @@ def test_03_brute_force_dominance():
             open_set, cost = golden.brute_force_opt(inst)
             bound = golden.rational_vertex_bound(golden.golden_constants(k))
             assert cost >= bound, (k, cost, bound)
-            # unpruned re-enumeration over every size-k subset agrees
-            _, cost_full = golden.brute_force_opt(inst, prune=False)
-            assert cost == cost_full
+            # the float scan can only mislead among near-ties: re-cost every
+            # subset within 1e-9 of the float minimum exactly
+            fac = sorted(inst.facilities)
+            subsets = np.array(list(itertools.combinations(fac, k)))
+            D = inst.dist_array()[inst.clients]
+            u = np.array([float(inst.demand(j)) for j in inst.clients])
+            floats = u @ D[:, subsets].min(axis=2)
+            near_ties = subsets[floats <= floats.min() + 1e-9]
+            assert min(connection_cost(inst, frozenset(S.tolist()))
+                       for S in near_ties) == cost
             n_subsets = math.comb(len(inst.facilities), k)
             assert n_subsets == sum(
                 1 for _ in itertools.combinations(inst.facilities, k))

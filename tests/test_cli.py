@@ -147,6 +147,24 @@ def test_bound_run_shorthand(capsys, tmp_path):
     assert os.path.exists(cert)
 
 
+def test_bound_shorthand_after_top_level_options(capsys, tmp_path):
+    # the shorthand applies to the command token, after the global options
+    report = tmp_path / "r.json"
+    code, _ = run(capsys, "--format", "json", f"--out={report}", "bound",
+                  "--m", "2", "--g", "0.6586", "--target", "1.45",
+                  "--budget-boxes", "50000")
+    assert code == 0
+    assert json.loads(report.read_text())["status"] == "certified"
+
+
+def test_report_file_named_bound_is_not_the_bound_command(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, "--out", "bound", "gap", "verify", "--k", "8")
+    assert code == 0
+    assert json.loads((tmp_path / "bound").read_text())["k"] == 8
+
+
 def test_suite_zero_instances(capsys):
     code, rep = run_json(capsys, "suite", "--instances", "0")
     assert code == 0 and rep["records"] == []

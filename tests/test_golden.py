@@ -4,12 +4,14 @@ vertex enumeration in the number field, and brute-force dominance."""
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,18 +131,116 @@ def test_rational_vertex_bound_values():
 
 
 def test_brute_force_matches_exhaustive_oracle():
-    sol = build_golden(6)
-    inst = sol.instance
-    fast_set, fast_cost = brute_force_opt(inst)
-    slow_set, slow_cost = brute_force_opt(inst, prune=False)
-    assert fast_cost == slow_cost
-    assert fast_set.facilities == slow_set.facilities
-    # independent re-scan with the library cost function
-    best = min(
-        (connection_cost(inst, frozenset(S)), tuple(S))
-        for S in itertools.combinations(sorted(inst.facilities), inst.k)
-    )
-    assert best[0] == fast_cost
+    # independent exact re-scan with the library cost function
+    for k in (6, 8):
+        inst = build_golden(k).instance
+        open_set, cost = brute_force_opt(inst)
+        assert len(open_set) == k
+        assert connection_cost(inst, open_set) == cost
+        best = min(
+            connection_cost(inst, frozenset(S))
+            for S in itertools.combinations(sorted(inst.facilities), k)
+        )
+        assert best == cost
+
+
+def _fraction_closure(n, edges):
+    """Floyd-Warshall over exact Fractions: the reference for the integer
+    closure of build_golden."""
+    INFTY = Fraction(10 ** 9)
+    dist = [[INFTY] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = Fraction(0)
+    for u, v, w in edges:
+        if w < dist[u][v]:
+            dist[u][v] = dist[v][u] = w
+    for mid in range(n):
+        dm = dist[mid]
+        for u in range(n):
+            du = dist[u]
+            dum = du[mid]
+            for v in range(n):
+                if dum + dm[v] < du[v]:
+                    du[v] = dum + dm[v]
+    return dist
+
+
+def test_build_golden_closure_matches_fraction_floyd_warshall():
+    for k in range(6, 13):
+        c = golden_constants(k)
+        sol = build_golden(k)
+        inst = sol.instance
+        A = sol.F1
+        B, C = sol.F2[:len(A)], sol.F2[len(A):]
+        ell = c.ell_q
+        # the generating graph, read back from the instance's layout
+        edges = [(i, b, 2 * ell) for i, b in zip(A, B)]
+        clients = iter(inst.clients)
+        for (i1, i2), j in zip(itertools.product(A, C), clients):
+            edges += [(j, i1, 2 - ell), (j, i2, ell)]
+        edges += [(j, b, Fraction(0)) for b, j in zip(B, clients)]
+        assert inst.dist == _fraction_closure(inst.n_points, edges), k
+
+
+def _subsets(rng, n, k, count):
+    return [tuple(sorted(rng.sample(range(n), k))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [
+    1, golden.SCAN_CHUNK - 1, golden.SCAN_CHUNK, 3 * golden.SCAN_CHUNK,
+    3 * golden.SCAN_CHUNK + 1])
+def test_scan_combos_chunk_edges(count):
+    """Integer distances make every cost exact, so the expected winner is
+    the first subset of least cost, wherever the chunks split."""
+    rng = random.Random(count)
+    rows = np.array([[rng.randrange(10) for _ in range(7)]
+                     for _ in range(9)], dtype=float)
+    u = np.array([rng.randrange(1, 4) for _ in range(9)], dtype=float)
+    combos = _subsets(rng, 7, 3, count)
+    costs = [float(u @ rows[:, list(S)].min(axis=1)) for S in combos]
+    first = costs.index(min(costs))
+    assert golden._scan_combos(iter(combos), rows, u) == \
+        (costs[first], combos[first])
+
+
+@pytest.mark.parametrize("where", [[0], [-1], [1, -1]])
+def test_scan_combos_finds_planted_minimum(where):
+    """A cost-0 subset planted in the first chunk, in the last, or in both
+    (a tie, which the earlier one wins)."""
+    # column 7 is at distance 0 from every client; only planted subsets use it
+    count = 3 * golden.SCAN_CHUNK + 1
+    rng = random.Random(7)
+    rows = np.array([[rng.randrange(1, 10) for _ in range(7)] + [0]
+                     for _ in range(9)], dtype=float)
+    combos = _subsets(rng, 7, 3, count)
+    planted = [(0, 1, 7), (2, 3, 7)]
+    for pos, S in zip(where, planted):
+        combos[pos] = S
+    assert golden._scan_combos(iter(combos), rows, np.ones(9)) == \
+        (0.0, planted[0])
+
+
+def test_scan_combos_exhausts_a_generator():
+    done = []
+
+    def gen():
+        yield from itertools.combinations(range(6), 3)
+        done.append(True)
+
+    rows = np.arange(24, dtype=float).reshape(4, 6)
+    cost, best = golden._scan_combos(gen(), rows, np.ones(4))
+    assert done == [True]
+    assert best == (0, 1, 2) and cost == float(rows[:, 0].sum())
+
+
+def test_build_golden_point_cap():
+    def points(k):
+        c = golden_constants(k)
+        return 3 * c.t_B + c.t_C + c.t_B * c.t_C
+
+    k = next(k for k in itertools.count(6) if points(k) > golden.MAX_POINTS)
+    with pytest.raises(ValueError, match="points"):
+        build_golden(k)
 
 
 def test_brute_force_dominates_rational_vertex_bound():
