@@ -223,10 +223,7 @@ def cmd_alg_chains(args) -> int:
                 return math.inf
             model = nlp.NlpModel(m=args.m, g_bounds=g_bounds,
                                  chains=[c.params() for c in subset])
-            val = -math.inf
-            for box in nlp.initial_boxes(model):
-                val = max(val, nlp._box_value(model, box))
-            return val
+            return max(nlp._box_values(model, nlp.initial_boxes(model)))
 
         try:
             reduced = algfamily.iterative_addition(chains, objective)
@@ -307,11 +304,17 @@ def cmd_bound_run(args) -> int:
     table = {1: "alg1", 2: "alg2", 3: "alg3"}[args.m]
     model = nlp.model_for_table(table, [Fraction(g) for g in args.g])
     t0 = time.time()
-    cert = nlp.branch_and_bound(
-        model, target=args.target, budget=args.budget_boxes,
-        checkpoint=args.checkpoint, resume=args.resume,
-        certificate=args.certificate,
-        log=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None)
+    try:
+        cert = nlp.branch_and_bound(
+            model, target=args.target, budget=args.budget_boxes,
+            checkpoint=args.checkpoint, resume=args.resume,
+            certificate=args.certificate,
+            log=(lambda msg: print(msg, file=sys.stderr)) if args.verbose
+            else None)
+    except ValueError as exc:
+        # a checkpoint written for another target, margin or model
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "m": args.m,
         "g": [str(g) for g in args.g],

@@ -451,7 +451,9 @@ def _scan_combos(combos, rows, u):
     best_subset = None
     combos = iter(combos)
     while block := list(itertools.islice(combos, SCAN_CHUNK)):
-        cols = np.array(block).T
+        k = len(block[0])
+        cols = np.fromiter(itertools.chain.from_iterable(block), np.intp,
+                           count=len(block) * k).reshape(len(block), k).T
         near = rows[:, cols[0]]
         for col in cols[1:]:
             np.minimum(near, rows[:, col], out=near)

@@ -28,13 +28,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .algfamily import cost_bound, instantiate, is_valid
-from .exprs import Interval, iadd, iclamp01, imin, isub, iv
 from .tables import builtin_tables, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
 DELTA = 1e-7  # safety margin over the LP solver tolerance
 TAIL_N = 2.0  # gamma tails split as [0, N] and [N, inf); tails never divided
 CHECKPOINT_EVERY = 10_000
+REPLAY_BLOCK = 256  # leaves a replay encloses and solves per pass
 
 
 @dataclass
@@ -64,6 +64,11 @@ class NlpModel:
         """``compile_chains(self)``, computed on first use."""
         return compile_chains(self)
 
+    @cached_property
+    def lp_template(self) -> "LpTemplate":
+        """``build_lp_template(self)``, computed on first use."""
+        return build_lp_template(self)
+
 
 def model_for_table(table: str, g_inner) -> NlpModel:
     """Model over a built-in chain table with inner thresholds g_1..g_{m-1}."""
@@ -74,23 +79,37 @@ def model_for_table(table: str, g_inner) -> NlpModel:
     return NlpModel(m=m, g_bounds=g_bounds, chains=chains, name=table)
 
 
+def _clamp01(x):
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 def gamma_intervals(box: dict, m: int) -> dict:
-    """Enclosures for every gA/gC from the box, via the size recurrence
-    gC_m = min(1, gA_m), gC_t = min(gA_t, 1 - sum_{s>t} gC_s), gC_1 = rest."""
-    env = {}
-    for var, (lo, hi) in box.items():
-        env[var] = Interval(float(lo), float(hi))
+    """Enclosures (lo, hi) of every gA/gC over a batch of boxes, via the size
+    recurrence gC_m = min(1, gA_m), gC_t = min(gA_t, 1 - sum_{s>t} gC_s),
+    gC_1 = rest.
+
+    ``box`` maps each box variable to its (lo, hi) bounds as float arrays with
+    a leading box axis (or as floats, for one box).  Element by element the
+    steps are those of the ``exprs.Interval`` recurrence (min, max, add and
+    subtract, in the same order), so the enclosures are the same bit for bit.
+    """
+    env = dict(box)
     if m == 1:
-        env["gC1"] = iv(1)
+        one = np.ones_like(box["b"][0], dtype=float)
+        env["gC1"] = (one, one)
         return env
-    tail = Interval(0.0, 0.0)
+    tail_lo = tail_hi = 0.0
     for t in range(m, 1, -1):
-        cap = isub(iv(1), tail)
-        gct = iclamp01(imin(env[f"gA{t}"], cap) if t < m
-                       else imin(iv(1), env[f"gA{t}"]))
-        env[f"gC{t}"] = gct
-        tail = iadd(tail, gct)
-    env["gC1"] = iclamp01(isub(iv(1), tail))
+        lo, hi = env[f"gA{t}"]
+        if t < m:
+            lo = np.minimum(lo, 1.0 - tail_hi)
+            hi = np.minimum(hi, 1.0 - tail_lo)
+        else:
+            lo, hi = np.minimum(1.0, lo), np.minimum(1.0, hi)
+        lo, hi = _clamp01(lo), _clamp01(hi)
+        env[f"gC{t}"] = (lo, hi)
+        tail_lo, tail_hi = tail_lo + lo, tail_hi + hi
+    env["gC1"] = (_clamp01(1.0 - tail_hi), _clamp01(1.0 - tail_lo))
     return env
 
 
@@ -149,8 +168,9 @@ def _times(a, b):
 
 
 def chain_bounds(table: ChainTable, env: dict) -> tuple:
-    """(p0, p1): lower and upper bounds of every chain parameter over the box
-    whose ``gamma_intervals`` are ``env``, as (chains, sets) arrays.
+    """(p0, p1): lower and upper bounds of every chain parameter over the
+    boxes whose ``gamma_intervals`` are ``env``, as (..., chains, sets)
+    arrays, the leading axes those of the boxes.
 
     Element by element this repeats the float operations of ``Expr.box`` on
     the parameter written as an expression tree, so the bounds are the same
@@ -162,20 +182,26 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
     zeroes every occurrence of p and of 1 - p.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        shape = (len(table.names), 1, 1, 1)
-        at_lo = _times(table.coef, np.reshape(
-            [env[v].lo for v in table.names], shape))
-        at_hi = _times(table.coef, np.reshape(
-            [env[v].hi for v in table.names], shape))
-        up = table.coef > 0
-        term_lo = np.where(up, at_lo, at_hi)
-        term_hi = np.where(up, at_hi, at_lo)
-        lo = np.zeros_like(table.const)
-        hi = np.zeros_like(table.const)
+        # values (variables, *boxes, 1, 1, 1) against coefficients
+        # (variables, 1, .., 1, 2, chains, sets)
+        boxes = np.shape(env["gC1"][0])
+        shape = (len(table.names),) + boxes + (1, 1, 1)
+        coef = np.expand_dims(table.coef, tuple(range(1, len(boxes) + 1)))
+        v_lo = np.reshape(
+            np.array([env[v][0] for v in table.names], dtype=float), shape)
+        v_hi = np.reshape(
+            np.array([env[v][1] for v in table.names], dtype=float), shape)
+        # a term's low end is coef * lo where coef > 0, else coef * hi
+        up = coef > 0
+        term_lo = _times(coef, np.where(up, v_lo, v_hi))
+        term_hi = _times(coef, np.where(up, v_hi, v_lo))
+        lo = np.zeros(term_lo.shape[1:])
+        hi = np.zeros(term_hi.shape[1:])
         for tl, th in zip(term_lo, term_hi):
             lo += tl
             hi += th
-        (xl, yl), (xh, yh) = lo + table.const, hi + table.const
+        (xl, yl), (xh, yh) = (np.moveaxis(lo + table.const, -3, 0),
+                              np.moveaxis(hi + table.const, -3, 0))
 
         # y away from 0: x * [1/yh, 1/yl]
         il, ih = 1.0 / yh, 1.0 / yl
@@ -193,8 +219,7 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
         q_lo = np.where(below & x_neg, xh / yl, q_lo)
         empty = (yl == 0) & (yh == 0) & (x_pos | x_neg)
 
-    p0 = np.minimum(np.maximum(q_lo + table.alpha, 0.0), 1.0)
-    p1 = np.minimum(np.maximum(q_hi + table.alpha, 0.0), 1.0)
+    p0, p1 = _clamp01(q_lo + table.alpha), _clamp01(q_hi + table.alpha)
     return np.where(empty, 1.0, p0), np.where(empty, 0.0, p1)
 
 
@@ -217,32 +242,34 @@ def threshold_floats(g_bounds) -> list:
 
 def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
     """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}), each of shape
-    (chains, classes) with the classes in ``NlpModel.class_keys`` order, with
-    each p / (1-p) occurrence relaxed independently.
+    (..., chains, classes) with the classes in ``NlpModel.class_keys`` order,
+    with each p / (1-p) occurrence relaxed independently.
 
     ``p0``, ``p1`` are ``chain_bounds`` arrays (columns in ``set_names(m)``
-    order); ``thresholds`` is ``threshold_floats(g_bounds)``.
+    order, any leading box axes); ``thresholds`` is
+    ``threshold_floats(g_bounds)``.
     """
-    pa0 = p0[:, :m]
-    minb0 = np.minimum.accumulate(p0[:, m:2 * m], axis=1)  # min over B_1..B_x
+    pa0 = p0[..., :m]
+    minb0 = np.minimum.accumulate(p0[..., m:2 * m], axis=-1)  # over B_1..B_x
     c1, c2 = [], []
     for z, first in (("B", m), ("C", 2 * m)):
-        pz0, pz1 = p0[:, first:first + m], p1[:, first:first + m]  # y = 1..m
+        pz0 = p0[..., first:first + m]  # y = 1..m
+        pz1 = p1[..., first:first + m]
         for x in range(1, m + 1):
             g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
-            q = (1 - pz0) * (1 - pa0[:, x - 1:x])
-            not_b0 = 1 - minb0[:, x - 1:x]
+            q = (1 - pz0) * (1 - pa0[..., x - 1:x])
+            not_b0 = 1 - minb0[..., x - 1:x]
             if z == "C":
                 k = q * (gx + one_m_gx * not_b0)
             elif x == 1:
                 k = q
             else:
                 k = np.empty_like(q)
-                k[:, :x] = q[:, :x] / g_prev  # y <= x
-                k[:, x:] = q[:, x:] * (1 + inv_g_prev_m1 * not_b0)
+                k[..., :x] = q[..., :x] / g_prev  # y <= x
+                k[..., x:] = q[..., x:] * (1 + inv_g_prev_m1 * not_b0)
             c1.append((1 - pz0) + k)
             c2.append(pz1 + k)
-    return np.hstack(c1), np.hstack(c2)
+    return np.concatenate(c1, axis=-1), np.concatenate(c2, axis=-1)
 
 
 @dataclass
@@ -263,46 +290,37 @@ class LpSolution:
     point: dict = None
 
 
-def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
-    m = model.m
-    p0, p1 = chain_bounds(model.chain_table, gamma_intervals(box, m))
-    c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
+@dataclass(frozen=True)
+class LpTemplate:
+    """What every box LP of a model shares.  ``A_ub`` holds the rows that no
+    box changes; the chain block and the entries that depend on b are 0.
+    The arrays are never written once built: the LPs share them, and
+    ``_HighsSolver`` recognises them by identity."""
+
+    c: np.ndarray
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    A_eq: np.ndarray
+    b_eq: np.ndarray
+    bounds: list
+    var_names: list
+
+
+def build_lp_template(model: NlpModel) -> LpTemplate:
+    n_chain = len(model.chains)
     var_names = ["X", "D1", "D2"]
     for z, x, y in model.class_keys():
         var_names += [f"D_{z}1_{x}{y}", f"D_{z}2_{x}{y}"]
     nv = len(var_names)
-
-    # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate
-    chain_rows = np.zeros((len(c1), nv))
-    chain_rows[:, 0] = 1.0
-    chain_rows[:, 3::2] -= c1
-    chain_rows[:, 4::2] -= c2
-    A_ub, b_ub = [chain_rows], [0.0] * len(c1)
-
-    def row():
-        return np.zeros(nv)
-
-    b0, b1 = float(box["b"][0]), float(box["b"][1])
-
-    if model.include_sr:
-        r = row()
-        r[0] = 1.0
-        r[2] = -2.0 * b1 * (1 - b0)
-        A_ub.append(r)
-        b_ub.append(1.0)
-
-    # relaxed normalization (the exact constraint holds at some b in the box)
-    r = row()
-    r[1] = 1 - b1
-    r[2] = b1
-    A_ub.append(r)
-    b_ub.append(1.0)
-
-    r = row()  # D2 <= D1
-    r[2] = 1.0
-    r[1] = -1.0
-    A_ub.append(r)
-    b_ub.append(0.0)
+    # rows: X <= cost of each chain, then the SR bound, the relaxed
+    # normalization (1 - b) D1 + b D2 <= 1 and D2 <= D1
+    n_ub = n_chain + model.include_sr + 2
+    A_ub = np.zeros((n_ub, nv))
+    A_ub[:n_chain + model.include_sr, 0] = 1.0
+    A_ub[-1, 2] = 1.0
+    A_ub[-1, 1] = -1.0
+    b_ub = np.zeros(n_ub)
+    b_ub[n_chain:n_ub - 1] = 1.0
 
     A_eq = np.zeros((2, nv))  # D_i = sum over classes of D_{Z,i}
     A_eq[0, 1] = A_eq[1, 2] = 1.0
@@ -311,9 +329,36 @@ def relax_to_lp(model: NlpModel, box: dict) -> LpProblem:
     c = np.zeros(nv)
     c[0] = -1.0  # maximize X
     bounds = [(0.0, X_CAP)] + [(0.0, None)] * (nv - 1)
-    return LpProblem(c=c, A_ub=np.vstack(A_ub), b_ub=np.array(b_ub),
-                     A_eq=A_eq, b_eq=np.zeros(2),
-                     bounds=bounds, var_names=var_names)
+    return LpTemplate(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.zeros(2),
+                      bounds=bounds, var_names=var_names)
+
+
+def relax_to_lp(model: NlpModel, boxes: list) -> list:
+    """The relaxed LP of each box, all boxes enclosed in one pass.
+
+    The LPs share the arrays of ``model.lp_template`` but ``A_ub``, in which
+    each writes its chain block and its b entries.
+    """
+    m, n_chain, t = model.m, len(model.chains), model.lp_template
+    names = model.box_vars()
+    bounds = np.array([[box[v] for v in names] for box in boxes], dtype=float)
+    env = gamma_intervals({v: (bounds[:, i, 0], bounds[:, i, 1])
+                           for i, v in enumerate(names)}, m)
+    p0, p1 = chain_bounds(model.chain_table, env)
+    c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
+
+    A_ub = np.repeat(t.A_ub[np.newaxis], len(boxes), axis=0)
+    # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate
+    A_ub[:, :n_chain, 3::2] -= c1
+    A_ub[:, :n_chain, 4::2] -= c2
+    b0, b1 = bounds[:, 0, 0], bounds[:, 0, 1]
+    if model.include_sr:
+        A_ub[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
+    # relaxed normalization (the exact constraint holds at some b in the box)
+    A_ub[:, -2, 1] = 1 - b1
+    A_ub[:, -2, 2] = b1
+    return [LpProblem(c=t.c, A_ub=a, b_ub=t.b_ub, A_eq=t.A_eq, b_eq=t.b_eq,
+                      bounds=t.bounds, var_names=t.var_names) for a in A_ub]
 
 
 LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
@@ -340,10 +385,13 @@ class _HighsSolver:
     reused for every LP.
 
     ``linprog`` spends most of a box LP's time checking options and building
-    a fresh solver; here each call only hands over the column-wise matrix.
-    ``passModel`` discards the previous model and its basis, so every solve
-    starts cold and its answer does not depend on the LPs solved before it.
-    Not safe to call from several threads at once.
+    a fresh solver; here one ``HighsLp`` is kept, its costs, bounds and sizes
+    written again only when an LP does not share them with the one before
+    (the LPs of one model share them through its ``LpTemplate``), and each
+    call hands over the column-wise matrix.  ``passModel`` discards the
+    previous model and its basis, so every solve starts cold and its answer
+    does not depend on the LPs solved before it.  Not safe to call from
+    several threads at once.
     """
 
     def __init__(self, core):
@@ -357,15 +405,15 @@ class _HighsSolver:
         self._status = {status.kOptimal: "optimal",
                         status.kInfeasible: "infeasible",
                         status.kUnbounded: "unbounded"}
+        self._lp = core.HighsLp()
+        self._lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        self._shared = (None,) * 4  # (c, bounds, b_ub, b_eq) in self._lp
 
-    def __call__(self, p: LpProblem) -> LpSolution:
-        core, highs = self._core, self._highs
-        A = np.vstack((p.A_ub, p.A_eq))
-        n_row, n_col = A.shape
-        col, row = np.nonzero(A.T)  # column-major order
-        lp = core.HighsLp()
-        lp.num_col_ = n_col
-        lp.num_row_ = n_row
+    def _share(self, p: LpProblem) -> None:
+        lp = self._lp
+        n_col, n_row = len(p.c), len(p.b_ub) + len(p.b_eq)
+        lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+        lp.num_row_ = lp.a_matrix_.num_row_ = n_row
         lp.col_cost_ = p.c
         lp.col_lower_ = np.array([lo for lo, _ in p.bounds], dtype=float)
         lp.col_upper_ = np.array([math.inf if hi is None else hi
@@ -373,22 +421,27 @@ class _HighsSolver:
         lp.row_lower_ = np.concatenate((np.full(len(p.b_ub), -math.inf),
                                         p.b_eq))
         lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
+        self._shared = (p.c, p.bounds, p.b_ub, p.b_eq)
+
+    def __call__(self, p: LpProblem) -> LpSolution:
+        core, highs, lp = self._core, self._highs, self._lp
+        if any(a is not b for a, b in
+               zip((p.c, p.bounds, p.b_ub, p.b_eq), self._shared)):
+            self._share(p)
+        A = np.vstack((p.A_ub, p.A_eq))
+        col, row = np.nonzero(A.T)  # column-major order
+        # lists convert to the bindings' vectors faster than arrays do
         mat = lp.a_matrix_
-        mat.format_ = core.MatrixFormat.kColwise
-        mat.num_col_ = n_col
-        mat.num_row_ = n_row
-        mat.start_ = np.concatenate(
-            ([0], np.cumsum(np.bincount(col, minlength=n_col))))
-        mat.index_ = row
-        mat.value_ = A[row, col]
+        mat.start_ = np.searchsorted(col, np.arange(len(p.c) + 1)).tolist()
+        mat.index_ = row.tolist()
+        mat.value_ = A[row, col].tolist()
         if highs.passModel(lp) == core.HighsStatus.kError or \
                 highs.run() == core.HighsStatus.kError:
             return LpSolution(status="failed")
         status = self._status.get(highs.getModelStatus(), "failed")
         if status == "optimal":
             point = dict(zip(p.var_names, highs.getSolution().col_value))
-            return LpSolution(status=status,
-                              value=-highs.getInfo().objective_function_value,
+            return LpSolution(status=status, value=-highs.getObjectiveValue(),
                               point=point)
         if status == "infeasible":
             return LpSolution(status=status, value=-math.inf)
@@ -428,14 +481,16 @@ class BoundCertificate:
     certificate_path: str = None
 
 
-def _box_value(model, box) -> float:
-    sol = solve_lp(relax_to_lp(model, box))
-    if sol.status != "optimal":
+def _box_values(model, boxes) -> list:
+    """The LP value of each box, the boxes enclosed in one pass."""
+    values = []
+    for lp in relax_to_lp(model, boxes):
+        sol = solve_lp(lp)
         # the box LP is feasible (zero satisfies every row) and bounded
         # (X <= X_CAP), so any other status is a solver failure: never
         # trusted, it forces a split
-        return math.inf
-    return sol.value
+        values.append(sol.value if sol.status == "optimal" else math.inf)
+    return values
 
 
 def _split(box: dict, min_width=1e-9) -> list:
@@ -467,6 +522,14 @@ def initial_boxes(model: NlpModel) -> list:
     return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
+def _run_key(model: NlpModel, target: float, delta: float) -> dict:
+    """What a checkpoint must match to be resumed: the target, the margin and
+    the model, its thresholds as exact fractions."""
+    return {"target": target, "delta": delta, "m": model.m,
+            "model": model.name,
+            "g_bounds": [str(Fraction(g)) for g in model.g_bounds]}
+
+
 def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                      checkpoint: str = None, resume: bool = False,
                      certificate: str = None, delta: float = DELTA,
@@ -479,39 +542,41 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     streamed to an audit file, one JSON record per line.  A checkpoint holds
     every box not yet settled, including the one a stopped run ended on, and
     the length of the audit file it matches, so a resumed run extends the
-    file to a certificate of the whole domain.
+    file to a certificate of the whole domain.  It also records the target,
+    the margin and the model it was written for; resuming it with any other
+    raises ValueError, before the audit file is touched.
     """
     processed = 0
     n_leaves = 0
     heap = []
     counter = 0
+    key = _run_key(model, target, delta)
 
     def push(box, value):
         nonlocal counter
         heapq.heappush(heap, (-value, counter, box))
         counter += 1
 
-    cert_fh = open(certificate, "a" if resume else "w") if certificate else None
-
+    state = None
     if resume and checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             state = json.load(fh)
-        processed = state["processed"]
-        n_leaves = state["n_leaves"]
-        if cert_fh and "certificate_bytes" in state:
-            # drop leaves written after the checkpoint: they are re-derived
-            cert_fh.truncate(state["certificate_bytes"])
-        for rec in state["worklist"]:
-            push(rec["box"], rec["value"])
-    else:
-        for box in initial_boxes(model):
-            push(box, _box_value(model, box))
+        wrong = [f"{k} {state.get(k)!r} (this run: {v!r})"
+                 for k, v in key.items() if state.get(k) != v]
+        if wrong:
+            raise ValueError(f"checkpoint {checkpoint} was written for "
+                             f"another run: {', '.join(wrong)}")
+
+    # a run that starts afresh, also one asked to resume from a checkpoint
+    # that does not exist, writes its audit file from the start
+    cert_fh = open(certificate, "w" if state is None else "a") \
+        if certificate else None
 
     def save_checkpoint():
         if not checkpoint:
             return
         state = {
-            "target": target,
+            **key,
             "processed": processed,
             "n_leaves": n_leaves,
             "worklist": [{"box": b, "value": -nv} for nv, _, b in heap],
@@ -533,6 +598,19 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             certificate_path=certificate)
 
     try:
+        if state is not None:
+            processed = state["processed"]
+            n_leaves = state["n_leaves"]
+            if cert_fh and "certificate_bytes" in state:
+                # drop leaves written after the checkpoint: they are re-derived
+                cert_fh.truncate(state["certificate_bytes"])
+            for rec in state["worklist"]:
+                push(rec["box"], rec["value"])
+        else:
+            boxes = initial_boxes(model)
+            for box, value in zip(boxes, _box_values(model, boxes)):
+                push(box, value)
+
         while heap:
             neg, _, box = heapq.heappop(heap)
             value = -neg
@@ -548,8 +626,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                 children = _split(box)
                 if not children:
                     return stop("counterexample-box", box, value)
-                for child in children:
-                    push(child, _box_value(model, child))
+                for child, v in zip(children, _box_values(model, children)):
+                    push(child, v)
             if processed % CHECKPOINT_EVERY == 0:
                 save_checkpoint()
                 if log:
@@ -616,7 +694,9 @@ def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
 def replay_certificate(model: NlpModel, path: str, target: float,
                        delta: float = DELTA) -> bool:
     """Check an audit file: its leaves tile the model's domain exactly, and
-    re-solving every leaf LP still clears the target by the margin."""
+    re-solving every leaf LP still clears the target by the margin.  The
+    leaves are enclosed in blocks of ``REPLAY_BLOCK``; the first block with
+    a leaf that fails ends the replay."""
     names = model.box_vars()
     expected = set(names)
     boxes, keys = [], []
@@ -635,7 +715,9 @@ def replay_certificate(model: NlpModel, path: str, target: float,
         return False  # a malformed or truncated record
     if not _leaves_tile_domain(model, keys):
         return False
-    return all(_box_value(model, box) + delta <= target for box in boxes)
+    return all(value + delta <= target
+               for i in range(0, len(boxes), REPLAY_BLOCK)
+               for value in _box_values(model, boxes[i:i + REPLAY_BLOCK]))
 
 
 # --- point evaluation -------------------------------------------------------

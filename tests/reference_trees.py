@@ -1,7 +1,15 @@
 """Chain parameters as ``exprs`` trees: the per-parameter reference that the
 batched enclosures of ``nlp.chain_bounds`` are checked against."""
 
-from bipoint.exprs import Const, Op, Var
+from bipoint import nlp
+from bipoint.exprs import Const, Interval, Op, Var
+
+
+def interval_env(box, m):
+    """``nlp.gamma_intervals`` of one box as the ``Interval``s ``Expr.box``
+    reads."""
+    return {k: Interval(float(lo), float(hi))
+            for k, (lo, hi) in nlp.gamma_intervals(box, m).items()}
 
 
 def _affine(c0, terms):

@@ -34,7 +34,7 @@ from bipoint.instances import (
 from bipoint.partition import build_partition, build_stars
 from bipoint.rounding import fractional_budget, sr_cost_bound, srdr, star_round
 from bipoint.tables import builtin_tables, set_names
-from reference_trees import as_tree
+from reference_trees import as_tree, interval_env
 
 F = Fraction
 PHI = (1 + math.sqrt(5)) / 2
@@ -321,7 +321,7 @@ def test_12_soundness_suites():
         for m in (2, 3):
             for _ in range(500):
                 box = rand_box(rng, m)
-                ienv = nlp.gamma_intervals(box, m)
+                ienv = interval_env(box, m)
                 pt = rand_interior(rng, box)
                 exact = derive_gamma_env(
                     F(pt["b"]),
@@ -339,7 +339,7 @@ def test_12_soundness_suites():
             model = nlp.model_for_table(table, g)
             for _ in range(n_boxes):
                 box = rand_box(rng, m)
-                ienv = nlp.gamma_intervals(box, m)
+                ienv = interval_env(box, m)
                 pt = rand_interior(rng, box)
                 env = derive_gamma_env(
                     F(pt["b"]),
@@ -347,7 +347,8 @@ def test_12_soundness_suites():
                 fenv = {k: float(v) for k, v in env.items()}
                 # the batched bounds branch-and-bound uses; (1, 0) is their
                 # empty marker
-                p0, p1 = nlp.chain_bounds(model.chain_table, ienv)
+                p0, p1 = nlp.chain_bounds(model.chain_table,
+                                          nlp.gamma_intervals(box, m))
                 for i, params in enumerate(model.chains):
                     vals = instantiate(params, fenv)
                     for j, W in enumerate(set_names(m)):
@@ -368,7 +369,7 @@ def test_12_soundness_suites():
         model = nlp.model_for_table("alg2", [F(6586, 10000)])
         for _ in range(40):
             box = rand_box(rng, 2)
-            lp = nlp.relax_to_lp(model, box)
+            lp = nlp.relax_to_lp(model, [box])[0]
             pt = rand_interior(rng, box)
             env = derive_gamma_env(F(pt["b"]), [F(0), F(pt["gA2"])])
             fenv = {k: float(v) for k, v in env.items()}

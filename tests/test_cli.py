@@ -157,6 +157,21 @@ def test_bound_shorthand_after_top_level_options(capsys, tmp_path):
     assert json.loads(report.read_text())["status"] == "certified"
 
 
+def test_bound_resume_against_another_target_exits_2(capsys, tmp_path):
+    ck, cert = str(tmp_path / "state.json"), str(tmp_path / "c.ndjson")
+    args = ("bound", "run", "--m", "2", "--g", "0.6586", "--budget-boxes",
+            "60", "--checkpoint", ck, "--certificate", cert)
+    code, rep = run_json(capsys, *args, "--target", "1.6")
+    assert code == 0 and rep["boxes_processed"] == 38
+    code = main([*args, "--target", "1.25", "--resume"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "target 1.6 (this run: 1.25)" in captured.err
+    # the run it was written for still resumes
+    code, rep = run_json(capsys, *args, "--target", "1.6", "--resume")
+    assert code == 0 and rep["status"] == "certified"
+
+
 def test_report_file_named_bound_is_not_the_bound_command(
         capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -31,7 +31,7 @@ from bipoint.nlp import (
     solve_lp,
 )
 from bipoint.tables import read_param, set_names
-from reference_trees import as_tree
+from reference_trees import as_tree, interval_env
 
 
 def rand_box(rng, m):
@@ -59,7 +59,7 @@ def test_gamma_intervals_enclose_recurrence():
     for m in (2, 3):
         for _ in range(200):
             box = rand_box(rng, m)
-            env = gamma_intervals(box, m)
+            env = interval_env(box, m)
             pt = rand_interior(rng, box)
             exact = derive_gamma_env(
                 Fraction(pt["b"]),
@@ -71,6 +71,55 @@ def test_gamma_intervals_enclose_recurrence():
                 assert got.contains(want, slack=1e-9), (box, t)
 
 
+def _interval_recurrence(box, m):
+    """gamma_intervals as the ``Interval`` recurrence it replaced."""
+    from bipoint.exprs import Interval, iadd, iclamp01, imin, isub, iv
+
+    env = {var: Interval(float(lo), float(hi))
+           for var, (lo, hi) in box.items()}
+    if m == 1:
+        env["gC1"] = iv(1)
+        return env
+    tail = Interval(0.0, 0.0)
+    for t in range(m, 1, -1):
+        cap = isub(iv(1), tail)
+        gct = iclamp01(imin(env[f"gA{t}"], cap) if t < m
+                       else imin(iv(1), env[f"gA{t}"]))
+        env[f"gC{t}"] = gct
+        tail = iadd(tail, gct)
+    env["gC1"] = iclamp01(isub(iv(1), tail))
+    return env
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gamma_intervals_batch_bit_identical_to_recurrence(m):
+    rng = random.Random(40 + m)
+    names = ["b", "gA1"] if m == 1 else \
+        ["b"] + [f"gA{t}" for t in range(2, m + 1)]
+    boxes = []
+    for _ in range(300):
+        box = {}
+        for var in names:
+            hi = 1.0 if var == "b" else 2.0
+            roll = rng.random()
+            if var != "b" and roll < 0.2:
+                box[var] = (nlp.TAIL_N, math.inf)
+            elif roll < 0.3:  # endpoints exactly 0, 1 or N
+                box[var] = tuple(sorted(rng.sample([0.0, 1.0, hi], 2)))
+            else:
+                box[var] = tuple(sorted((rng.uniform(0, hi),
+                                         rng.uniform(0, hi))))
+        boxes.append(box)
+    got = gamma_intervals({v: (np.array([box[v][0] for box in boxes]),
+                               np.array([box[v][1] for box in boxes]))
+                           for v in names}, m)
+    for i, box in enumerate(boxes):
+        for var, want in _interval_recurrence(box, m).items():
+            lo, hi = got[var][0][i], got[var][1][i]
+            assert np.array([lo, hi]).tobytes() == \
+                np.array([want.lo, want.hi]).tobytes(), (box, var)
+
+
 def test_chain_enclosures_contain_point_values():
     """Every table parameter's interval over a box contains its exact value
     at interior points; the core soundness property of the relaxation."""
@@ -80,14 +129,15 @@ def test_chain_enclosures_contain_point_values():
         model = model_for_table(table, g)
         for _ in range(60):
             box = rand_box(rng, m)
-            ienv = gamma_intervals(box, m)
+            ienv = interval_env(box, m)
             pt = rand_interior(rng, box)
             env = derive_gamma_env(
                 Fraction(pt["b"]),
                 [Fraction(0)] + [Fraction(pt[f"gA{t}"])
                                  for t in range(2, m + 1)])
             fenv = {k: float(v) for k, v in env.items()}
-            p0, p1 = nlp.chain_bounds(model.chain_table, ienv)
+            p0, p1 = nlp.chain_bounds(model.chain_table,
+                                      gamma_intervals(box, m))
             for i, params in enumerate(model.chains):
                 vals = instantiate(params, fenv)
                 for j, W in enumerate(set_names(m)):
@@ -111,7 +161,7 @@ def test_lp_value_dominates_point_costs():
     model = model_for_table("alg2", [0.6586])
     for _ in range(25):
         box = rand_box(rng, 2)
-        sol = solve_lp(relax_to_lp(model, box))
+        sol = solve_lp(relax_to_lp(model, [box])[0])
         if sol.status != "optimal":
             continue
         pt = rand_interior(rng, box)
@@ -134,7 +184,7 @@ def test_relaxed_normalization_feasible_for_true_points():
     model = model_for_table("alg2", [0.6586])
     for _ in range(40):
         box = rand_box(rng, 2)
-        lp = relax_to_lp(model, box)
+        lp = relax_to_lp(model, [box])[0]
         pt = rand_interior(rng, box)
         env = derive_gamma_env(Fraction(pt["b"]), [Fraction(0), Fraction(pt["gA2"])])
         fenv = {k: float(v) for k, v in env.items()}
@@ -246,6 +296,48 @@ def test_resume_after_interrupt_replays(tmp_path, monkeypatch):
     assert replay_certificate(model, leaves, target=1.35)
 
 
+@pytest.mark.parametrize("changed", ["target", "delta", "g", "table"])
+def test_resume_refuses_another_run(tmp_path, changed):
+    """A checkpoint resumes only the run it was written for: at another
+    target, margin or model its empty worklist would 'certify' anything."""
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    ck = str(tmp_path / "state.json")
+    leaves = tmp_path / "leaves.ndjson"
+    first = branch_and_bound(model, target=1.6, budget=60, checkpoint=ck,
+                             certificate=str(leaves))
+    assert first.status == "certified" and first.boxes_processed == 38
+    written = leaves.read_bytes()
+    kwargs = {"target": 1.6}
+    if changed == "target":
+        kwargs["target"] = 1.25  # below this model's factor (>= 1.3102)
+    elif changed == "delta":
+        kwargs["delta"] = 1e-6
+    elif changed == "g":
+        model = model_for_table("alg2", [Fraction("0.66")])
+    else:
+        model = model_for_table("uniform", [Fraction("0.6586")])
+    key = {"table": "model", "g": "g_bounds"}.get(changed, changed)
+    with pytest.raises(ValueError, match=f"another run: {key} "):
+        branch_and_bound(model, checkpoint=ck, resume=True,
+                         certificate=str(leaves), **kwargs)
+    assert leaves.read_bytes() == written  # the audit file is untouched
+
+
+def test_resume_without_a_checkpoint_starts_afresh(tmp_path):
+    """With no checkpoint to resume, the run starts over and its audit file
+    holds its own leaves only, not a second set after the old ones."""
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    leaves = str(tmp_path / "leaves.ndjson")
+    branch_and_bound(model, target=1.6, certificate=leaves)
+    again = branch_and_bound(model, target=1.6, resume=True,
+                             checkpoint=str(tmp_path / "missing.json"),
+                             certificate=leaves)
+    assert again.status == "certified"
+    with open(leaves) as fh:
+        assert sum(1 for _ in fh) == again.n_leaves
+    assert replay_certificate(model, leaves, target=1.6)
+
+
 @pytest.fixture(scope="module")
 def cert_lines(tmp_path_factory):
     """Leaf records of an alg2 certificate at 1.40."""
@@ -289,6 +381,43 @@ def test_replay_rejects_incomplete_certificates(tmp_path, cert_lines, damage):
     assert replay_certificate(model, str(path), target=1.40)
 
 
+@pytest.fixture(scope="module")
+def cert_135(tmp_path_factory):
+    """The alg2 g=0.6586 run at 1.35 and its certificate."""
+    path = tmp_path_factory.mktemp("cert") / "leaves.ndjson"
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    return model, path, branch_and_bound(model, target=1.35,
+                                         certificate=str(path))
+
+
+def test_alg2_at_1_35_box_counts(cert_135):
+    """The box and leaf counts of the benchmark's certify run; they depend
+    on HiGHS's values, so the linprog path is not held to them."""
+    pytest.importorskip("scipy.optimize._highspy._core")
+    _, _, cert = cert_135
+    assert cert.status == "certified"
+    assert (cert.boxes_processed, cert.n_leaves) == (926, 690)
+
+
+def test_replay_rejects_a_bad_leaf_in_the_last_block(tmp_path, cert_135):
+    model, path, _ = cert_135
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > nlp.REPLAY_BLOCK and \
+        len(lines) % nlp.REPLAY_BLOCK != 0  # the last block is a partial one
+    values = nlp._box_values(model, [json.loads(x)["box"] for x in lines])
+    worst = int(np.argmax(values))
+    runner_up = max(v for i, v in enumerate(values) if i != worst)
+    assert runner_up < values[worst]
+    lines.append(lines.pop(worst))
+    moved = tmp_path / "worst-last.ndjson"
+    moved.write_text("".join(lines))
+    # every leaf but the last clears this target by the margin
+    target = (runner_up + values[worst]) / 2 + nlp.DELTA
+    assert replay_certificate(model, str(moved), target=target) is False
+    assert replay_certificate(model, str(moved),
+                              target=values[worst] + nlp.DELTA)
+
+
 @pytest.mark.parametrize("status", ["infeasible", "unbounded", "failed"])
 def test_only_an_optimal_lp_certifies_a_box(monkeypatch, status):
     """The box LP is feasible and bounded, so any other status is a solver
@@ -296,7 +425,7 @@ def test_only_an_optimal_lp_certifies_a_box(monkeypatch, status):
     model = model_for_table("alg2", [0.6586])
     monkeypatch.setattr(nlp, "solve_lp",
                         lambda p: nlp.LpSolution(status=status))
-    assert nlp._box_value(model, initial_boxes(model)[0]) == math.inf
+    assert nlp._box_values(model, initial_boxes(model)[:1]) == [math.inf]
     cert = branch_and_bound(model, target=1.35, budget=3)
     assert cert.status == "exhausted-budget"
     assert cert.n_leaves == 0
@@ -316,8 +445,8 @@ def test_direct_highs_matches_linprog(table, g):
     core = pytest.importorskip("scipy.optimize._highspy._core")
     direct = nlp._HighsSolver(core)
     model = model_for_table(table, g)
-    for box in _lp_boxes(model, 7, 50):
-        lp = relax_to_lp(model, box)
+    boxes = _lp_boxes(model, 7, 50)
+    for box, lp in zip(boxes, relax_to_lp(model, boxes)):
         got, want = direct(lp), nlp._solve_linprog(lp)
         assert got.status == want.status, box
         if want.status == "optimal":
@@ -330,7 +459,7 @@ def test_solve_lp_falls_back_to_linprog(monkeypatch):
     monkeypatch.setattr(nlp, "_solver", None)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     model = model_for_table("alg2", [0.6586])
-    lp = relax_to_lp(model, initial_boxes(model)[0])
+    lp = relax_to_lp(model, initial_boxes(model)[:1])[0]
     sol = solve_lp(lp)
     assert nlp._solver is nlp._solve_linprog
     assert sol.status == "optimal"
@@ -374,7 +503,7 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
     model = model_for_table(table, g)
     sets, keys = set_names(model.m), model.class_keys()
     for box in _lp_boxes(model, 11, 30):
-        env = gamma_intervals(box, model.m)
+        env = interval_env(box, model.m)
         pboxes = [{W: as_tree(params[W]).box(env) for W in sets}
                   for params in model.chains]
         bounds = np.array([[_p_bounds(pb[W]) for W in sets] for pb in pboxes])
@@ -388,7 +517,7 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
 def _reference_relax_to_lp(model, box):
     """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced."""
     m = model.m
-    env = gamma_intervals(box, m)
+    env = interval_env(box, m)
     var_names = ["X", "D1", "D2"]
     idx = {}
     for z, x, y in model.class_keys():
@@ -483,14 +612,45 @@ def test_relax_to_lp_bit_identical_to_per_chain_loop(name):
     """The batched enclosure builds every LP exactly as enclosing each chain
     parameter with Expr.box did."""
     model = BIT_MODELS[name]()
-    for box in _search_boxes(model, 13, 60):
-        got, want = relax_to_lp(model, box), _reference_relax_to_lp(model, box)
+    boxes = _search_boxes(model, 13, 60)
+    for box, got in zip(boxes, relax_to_lp(model, boxes)):
+        want = _reference_relax_to_lp(model, box)
         for attr in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                 (name, attr, box)
         assert got.bounds == want.bounds
         assert got.var_names == want.var_names
+
+
+@pytest.mark.parametrize("name", list(BIT_MODELS))
+def test_box_values_of_a_batch_equal_single_boxes(name):
+    """A box's LP value does not depend on the boxes enclosed with it."""
+    model = BIT_MODELS[name]()
+    boxes = _search_boxes(model, 17, 40)
+    rng = random.Random(18)
+    rng.shuffle(boxes)
+    while boxes:
+        k = rng.randint(1, 8)
+        batch, boxes = boxes[:k], boxes[k:]
+        got = nlp._box_values(model, batch)
+        want = [nlp._box_values(model, [box])[0] for box in batch]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), batch
+
+
+def test_direct_highs_reuse_across_models():
+    """One solver fed LPs of two models in turn answers as fresh ones."""
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    shared = nlp._HighsSolver(core)
+    lps = []
+    for table, g in SOLVER_MODELS:
+        model = model_for_table(table, g)
+        lps.append(relax_to_lp(model, _lp_boxes(model, 19, 10)))
+    for pair in zip(*lps):
+        for lp in pair:
+            got, want = shared(lp), nlp._HighsSolver(core)(lp)
+            assert (got.status, got.value) == (want.status, want.value)
+            assert got.point == want.point
 
 
 @pytest.mark.parametrize("formula", ["min(b, 1)", "b * gA2", "0.5 * b",
