@@ -12,8 +12,12 @@ with at most one fractional entry.
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .instances import BiPointSolution, OpenSet, connection_cost_float
 from .partition import FacilityPartition, build_partition, build_stars, \
@@ -397,12 +401,142 @@ def cost_bound(values: dict, env: dict, g_bounds, m: int, profile: dict):
 # --- end-to-end best-of -----------------------------------------------------
 
 
+# clamped parameter values as (N, D); every clamped 1 is the one _ONE object
+_ZERO, _ONE = (0, 1), (1, 1)
+
+
+class ChainKernel:
+    """A chain table compiled for exact evaluation at a point.
+
+    Each distinct parameter of the table is kept once, as the integer affine
+    forms of ``LinFrac.integer_form``; ``rows[ci]`` holds the parameter index
+    of each set of chain ``ci``, in ``set_names(m)`` order.  ``evaluate``
+    scales a point to one common denominator and works in Python integers
+    throughout, so it agrees with ``instantiate`` + ``is_valid`` at tol 0 for
+    any exact point, however large its denominators.
+    """
+
+    def __init__(self, m: int, chains: list):
+        names = set_names(m)
+        index = {}  # LinFrac -> position, in order of first use
+        self.m = m
+        self.rows = [tuple(index.setdefault(chain[W], len(index))
+                           for W in names) for chain in chains]
+        self.forms = [p.integer_form() for p in index]
+
+    def evaluate(self, env: dict) -> tuple:
+        """``(values, valid)`` at a point of exact rationals.
+
+        ``values[j]`` is distinct parameter j as a clamped ``(N, D)`` with
+        D > 0, or None where its denominator is 0 (an empty set); ``valid``
+        lists, in order, the chains that ``is_valid`` accepts there.
+        """
+        L = math.lcm(*(x.denominator for x in env.values()))
+        e = {v: x.numerator * (L // x.denominator) for v, x in env.items()}
+        values = []
+        for p0, p, q0, q in self.forms:
+            den = q0 * L
+            for v, c in q:
+                den += c * e[v]
+            if den == 0:
+                values.append(None)
+                continue
+            num = p0 * L
+            for v, c in p:
+                num += c * e[v]
+            if den < 0:
+                num, den = -num, -den
+            values.append(_ZERO if num <= 0 else _ONE if num >= den
+                          else (num, den))
+
+        m = self.m
+        size = [e[_size_key(W)] for W in set_names(m)]  # scaled by L
+        nonempty = [(w, s) for w, s in enumerate(size) if s > 0]
+        target = e["b"] + sum(size[:m])
+        # backup at each level t with A_t nonempty: A_t open, or every
+        # nonempty B_s (s <= t), or every nonempty C_s (s >= t), as bits
+        guards = [(1 << (t - 1),
+                   sum(1 << (m + s - 1) for s in range(1, t + 1)
+                       if size[m + s - 1]),
+                   sum(1 << (2 * m + s - 1) for s in range(t, m + 1)
+                       if size[2 * m + s - 1]))
+                  for t in range(1, m + 1) if size[t - 1]]
+        a1_or_b1 = (1 | 1 << m) if size[0] else 0
+        valid = []
+        for ci, row in enumerate(self.rows):
+            ones, num, den = 0, 0, 1  # mass so far is num / den
+            for w, s in nonempty:
+                v = values[row[w]]
+                if v is None:
+                    break
+                n, d = v
+                if v is _ONE:
+                    ones |= 1 << w
+                    num += s * den
+                elif n:
+                    num = num * d + n * s * den
+                    den *= d
+            else:
+                if num == target * den and \
+                        all(ones & a or ones & b == b or ones & c == c
+                            for a, b, c in guards) and \
+                        (ones & a1_or_b1 or not a1_or_b1):
+                    valid.append(ci)
+        return values, valid
+
+
+@lru_cache(maxsize=None)
+def builtin_kernels() -> dict:
+    """Every built-in table compiled once: {name: ChainKernel}."""
+    return {name: ChainKernel(m, chains)
+            for name, (m, chains) in builtin_tables().items()}
+
+
+@lru_cache(maxsize=None)
+def _record_labels() -> tuple:
+    """The label strings ``best_of`` records share, made once: "SR", then
+    name[ci] for every built-in chain; and each table's first index."""
+    labels, first = ["SR"], {}
+    for name, kernel in builtin_kernels().items():
+        first[name] = len(labels)
+        labels += (f"{name}[{ci}]" for ci in range(len(kernel.rows)))
+    return tuple(labels), first
+
+
+class Records(Sequence):
+    """Read-only ``(label, cost, n_open)`` per attempted algorithm.
+
+    Stored as columns: an index into a shared tuple of label strings, the
+    costs as float64 and the open-facility counts, so that a suite keeping
+    every result holds a few bytes per record.
+    """
+
+    __slots__ = ("_labels", "_label", "_cost", "_n_open")
+
+    def __init__(self, labels: tuple, label_index, costs, n_open):
+        self._labels = labels
+        self._label = array("H", label_index)
+        self._cost = array("d", costs)
+        self._n_open = array("I", n_open)
+
+    def __len__(self):
+        return len(self._cost)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._labels[self._label[i]], self._cost[i], self._n_open[i]
+
+    def __repr__(self):
+        return f"Records({list(self)!r})"
+
+
 @dataclass
 class BestOfResult:
     open_set: OpenSet
     cost: float
     label: str
-    records: list  # (label, cost, n_open) per attempted algorithm
+    records: Records  # (label, cost, n_open) per attempted algorithm
 
 
 def param_env(sol: BiPointSolution, part: FacilityPartition) -> dict:
@@ -413,23 +547,43 @@ def param_env(sol: BiPointSolution, part: FacilityPartition) -> dict:
     return env
 
 
-def run_chains(sol: BiPointSolution, part: FacilityPartition, chains: list,
-               rng) -> list:
-    """Execute every chain that is valid at the solution's parameters.
+def run_chains(sol: BiPointSolution, part: FacilityPartition,
+               kernel: ChainKernel, rng) -> list:
+    """Execute every chain of ``kernel`` that is valid at the solution's
+    parameters, as ``execute`` does.
 
     Returns (chain index, ExecutionResult, connection cost) for each chain
     whose execution opens a facility, in chain order, which is also the
     order ``rng`` is drawn in.
     """
-    env = param_env(sol, part)
+    values, valid = kernel.evaluate(param_env(sol, part))
+    m = part.m
+    names = set_names(m)
+    groups = []  # (position in set_names, sorted members), in execute's order
+    for t in range(m):
+        for w, level in ((t, part.A), (m + t, part.B), (2 * m + t, part.C)):
+            groups.append((w, sorted(level[t])))
     out = []
-    for ci, params in enumerate(chains):
-        values = instantiate(params, env)
-        if not is_valid(values, env, part.m).ok:
+    for ci in valid:
+        row = kernel.rows[ci]
+        open_fac = set()
+        counts = {}
+        slack = 0
+        for w, members in groups:
+            W = names[w]
+            if not members:
+                counts[W] = 0
+                continue
+            n, d = values[row[w]]
+            count, rem = divmod(n * len(members), d)
+            slack += rem != 0
+            counts[W] = count
+            if count:
+                open_fac.update(rng.sample(members, count))
+        if not open_fac:
             continue
-        res = execute(values, part, rng)
-        if not res.open_set.facilities:
-            continue
+        res = ExecutionResult(open_set=OpenSet(facilities=frozenset(open_fac)),
+                              counts=counts, slack=slack)
         out.append((ci, res, connection_cost_float(sol.instance,
                                                    res.open_set.facilities)))
     return out
@@ -441,33 +595,34 @@ def best_of(sol: BiPointSolution, eps: float, rng,
     cheapest open set."""
     thresholds = thresholds or {2: G_M2, 3: G_M3}
     inst = sol.instance
-    records = []
+    labels, first = _record_labels()
 
     sr = star_round(sol, eps, rng)
-    best = (connection_cost_float(inst, sr.facilities), "SR", sr)
-    records.append(("SR", best[0], len(sr)))
+    best = (connection_cost_float(inst, sr.facilities), 0, sr)
+    label_index, costs, n_open = [0], [best[0]], [len(sr)]
 
     forest = build_stars(sol)
-    tables = builtin_tables()
     if forest.has_secondary:
+        kernels = builtin_kernels()
         plans = [("alg1", None), ("alg2", thresholds[2]),
                  ("alg3", thresholds[3]), ("uniform", thresholds[2])]
         for name, th in plans:
-            m, chains = tables[name]
-            if th is not None and len(th) != m - 1:
+            kernel = kernels[name]
+            if th is not None and len(th) != kernel.m - 1:
                 continue
             try:
                 part = build_partition(sol, forest, th or ())
             except ValueError:
                 continue
-            for ci, res, cost in run_chains(sol, part, chains, rng):
-                label = f"{name}[{ci}]"
-                records.append((label, cost, len(res.open_set)))
+            for ci, res, cost in run_chains(sol, part, kernel, rng):
+                label_index.append(first[name] + ci)
+                costs.append(cost)
+                n_open.append(len(res.open_set))
                 if cost < best[0]:
-                    best = (cost, label, res.open_set)
+                    best = (cost, label_index[-1], res.open_set)
 
-    return BestOfResult(open_set=best[2], cost=best[0], label=best[1],
-                        records=records)
+    return BestOfResult(open_set=best[2], cost=best[0], label=labels[best[1]],
+                        records=Records(labels, label_index, costs, n_open))
 
 
 def partition_report(sol: BiPointSolution, g_thresholds) -> dict:

@@ -238,7 +238,8 @@ def cmd_alg_chains(args) -> int:
 
 
 def cmd_alg_run(args) -> int:
-    m, chains = builtin_tables()[args.table]
+    kernel = algfamily.builtin_kernels()[args.table]
+    m = kernel.m
     rng = random.Random(_seed(args))
     records = []
     for trial in range(args.trials):
@@ -254,7 +255,7 @@ def cmd_alg_run(args) -> int:
         inner = algfamily.G_M2 if m == 2 else \
             (algfamily.G_M3 if m == 3 else ())
         part = algfamily.build_partition(sol, forest, inner)
-        for ci, res, cost in algfamily.run_chains(sol, part, chains, rng):
+        for ci, res, cost in algfamily.run_chains(sol, part, kernel, rng):
             records.append({
                 "trial": trial, "chain": ci,
                 "cost": round(cost, 6),

@@ -45,12 +45,21 @@ class MetricInstance:
         return self.demands.get(j, 1)
 
     def dist_array(self) -> np.ndarray:
-        """Float view of the distance matrix (cached)."""
+        """Float view of the distance matrix (cached, with ``client_arrays``)."""
         arr = getattr(self, "_dist_array", None)
         if arr is None:
             arr = np.array([[float(v) for v in row] for row in self.dist])
+            self._client_rows = arr[np.asarray(self.clients, dtype=np.intp)]
+            self._demand_vector = np.array(
+                [float(self.demand(j)) for j in self.clients])
             self._dist_array = arr
         return arr
+
+    def client_arrays(self) -> tuple:
+        """The clients' rows of ``dist_array()`` and their float demands,
+        cached with it."""
+        self.dist_array()
+        return self._client_rows, self._demand_vector
 
     def check_metric(self) -> list:
         """Audit symmetry, zero diagonal, nonnegativity and triangle inequality.
@@ -183,10 +192,8 @@ def connection_cost_float(inst: MetricInstance, facilities) -> float:
     fac = sorted(facilities)
     if not fac:
         raise EmptyOpenSetError("connection_cost: no open facility")
-    D = inst.dist_array()
-    sub = D[np.ix_(inst.clients, fac)]
-    u = np.array([float(inst.demand(j)) for j in inst.clients])
-    return float((u * sub.min(axis=1)).sum())
+    rows, u = inst.client_arrays()
+    return float((u * rows[:, fac].min(axis=1)).sum())
 
 
 def synthesize_random_bipoint(

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .algfamily import cost_bound, instantiate, is_valid
 from .tables import builtin_tables, set_names
@@ -367,7 +366,11 @@ LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
 
 def _solve_linprog(p: LpProblem) -> LpSolution:
     """``scipy.optimize.linprog`` with HiGHS: the path taken when scipy ships
-    no HiGHS bindings, and the reference the direct path is tested against."""
+    no HiGHS bindings, and the reference the direct path is tested against.
+    scipy.optimize is imported here, on the first LP, so that commands which
+    solve none do not load it."""
+    from scipy.optimize import linprog
+
     res = linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
                   bounds=p.bounds, method="highs", options=LP_TOLERANCES)
     if res.status == 0:

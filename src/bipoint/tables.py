@@ -9,6 +9,7 @@ order A_1..A_m, B_1..B_m, C_1..C_m.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,31 @@ class LinFrac:
         if self.alpha != 0:
             v = self.alpha + v
         return min(max(v, 0 * v), 1)
+
+    def integer_form(self) -> tuple:
+        """``(p0, p, q0, q)``: integer affine forms, in the layout of
+        ``n0, n, d0, d``, with the parameter equal to clamp01(P / Q).
+
+        alpha is folded into the numerator and every coefficient scaled to
+        an integer by positive factors, so Q is 0 exactly where ``ev``
+        divides by zero.
+        """
+        coeffs = [Fraction(c) for c in
+                  (self.n0, self.d0, *(c for _, c in self.n + self.d))]
+        s = math.lcm(*(c.denominator for c in coeffs))
+        alpha = Fraction(self.alpha)
+        fn = alpha.denominator * s  # P = fn N + fd D, Q = fn D
+        fd = alpha.numerator * s
+        num = {v: fn * c for v, c in self.n}
+        for v, c in self.d:
+            num[v] = num.get(v, 0) + fd * c
+        den = {v: fn * c for v, c in self.d}
+
+        def ints(terms):
+            return tuple((v, int(c)) for v, c in _terms(terms))
+
+        return (int(fn * self.n0 + fd * self.d0), ints(num),
+                int(fn * self.d0), ints(den))
 
     def __repr__(self):
         text = _affine_text(self.n0, self.n)

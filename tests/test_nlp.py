@@ -456,6 +456,10 @@ def test_direct_highs_matches_linprog(table, g):
 
 def test_solve_lp_falls_back_to_linprog(monkeypatch):
     """Without scipy's HiGHS bindings, solve_lp goes through linprog."""
+    # nlp loads scipy.optimize on the first LP, and on current scipy its
+    # linprog loads the bindings itself: load it before hiding them, as a
+    # scipy that ships no bindings would have it
+    import scipy.optimize  # noqa: F401
     monkeypatch.setattr(nlp, "_solver", None)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     model = model_for_table("alg2", [0.6586])
