@@ -1,5 +1,5 @@
 """The partition-hierarchy rounding family: validity, enumeration, chains,
-execution, and aggregate cost bounds.
+execution, and the end-to-end best-of.
 
 An algorithm is a vector of opening probabilities p_W, one per partition set
 W in {A_1..A_m, B_1..B_m, C_1..C_m}; it samples ceil(p_W |W|) facilities
@@ -22,12 +22,9 @@ from functools import lru_cache
 from .instances import BiPointSolution, OpenSet, connection_cost_float
 from .partition import FacilityPartition, build_partition, build_stars, \
     class_aggregates, classify_clients
-from .rounding import star_round, sr_cost_bound
-from .tables import builtin_tables, ratio, set_names
-
-# default g-thresholds for the two- and three-level hierarchies
-G_M2 = (Fraction(6586, 10000),)
-G_M3 = (Fraction(642, 1000), Fraction(833, 1000))
+from .rounding import star_round
+# G_M2 and G_M3 are re-exported: callers read them as algfamily.G_M2
+from .tables import CATALOGUE, G_M2, G_M3, builtin_tables, ratio, set_names
 
 ONE = Fraction(1)
 OPEN = ratio((1, {}), (1, {}))  # the parameter of a fully opened set
@@ -356,48 +353,6 @@ def execute(values: dict, part: FacilityPartition, rng) -> ExecutionResult:
                            counts=counts, slack=slack)
 
 
-# --- aggregate cost bounds --------------------------------------------------
-
-
-def _min_backup(values: dict, env: dict, x: int):
-    """min over s <= x of p_{B_s}, skipping empty sets (vacuous guards)."""
-    vals = [values[f"B{s}"] for s in range(1, x + 1)
-            if set_size(f"B{s}", env) > 0 and values.get(f"B{s}") is not None]
-    return min(vals) if vals else 1
-
-
-def cost_bound(values: dict, env: dict, g_bounds, m: int, profile: dict):
-    """Upper bound on the expected total connection cost of a parameter vector.
-
-    ``g_bounds`` is the threshold list g_0=0 < g_1 < ... < g_m=1; ``profile``
-    maps (zone, x, y) to the pair of per-class distance sums (D_1, D_2).
-    """
-    total = 0
-    for (zone, x, y), (d1s, d2s) in profile.items():
-        if d1s == 0 and d2s == 0:
-            continue
-        pA = values[f"A{x}"]
-        pZ = values[f"{zone}{y}"]
-        q = (1 - pZ) * (1 - pA)
-        if zone == "B":
-            if x == 1:
-                k = q
-            elif y <= x:
-                assert g_bounds[x - 1] > 0, "1/g bound needs a positive threshold"
-                k = q / g_bounds[x - 1]
-            else:
-                assert 2 <= x <= m - 1
-                assert g_bounds[x - 1] > 0, "1/g bound needs a positive threshold"
-                minb = _min_backup(values, env, x)
-                k = q * (1 + (1 / g_bounds[x - 1] - 1) * (1 - minb))
-        else:
-            minb = _min_backup(values, env, x)
-            gx = g_bounds[x]
-            k = q * (gx + (1 - gx) * (1 - minb))
-        total += pZ * d2s + (1 - pZ) * d1s + k * (d1s + d2s)
-    return total
-
-
 # --- end-to-end best-of -----------------------------------------------------
 
 
@@ -589,11 +544,9 @@ def run_chains(sol: BiPointSolution, part: FacilityPartition,
     return out
 
 
-def best_of(sol: BiPointSolution, eps: float, rng,
-            thresholds: dict = None) -> BestOfResult:
-    """Run the star-rounding algorithm plus every built-in chain and keep the
-    cheapest open set."""
-    thresholds = thresholds or {2: G_M2, 3: G_M3}
+def best_of(sol: BiPointSolution, eps: float, rng) -> BestOfResult:
+    """Run the star-rounding algorithm plus every built-in chain, each table
+    at its default thresholds, and keep the cheapest open set."""
     inst = sol.instance
     labels, first = _record_labels()
 
@@ -604,17 +557,12 @@ def best_of(sol: BiPointSolution, eps: float, rng,
     forest = build_stars(sol)
     if forest.has_secondary:
         kernels = builtin_kernels()
-        plans = [("alg1", None), ("alg2", thresholds[2]),
-                 ("alg3", thresholds[3]), ("uniform", thresholds[2])]
-        for name, th in plans:
-            kernel = kernels[name]
-            if th is not None and len(th) != kernel.m - 1:
-                continue
+        for name, table in CATALOGUE.items():
             try:
-                part = build_partition(sol, forest, th or ())
+                part = build_partition(sol, forest, table.g_inner)
             except ValueError:
                 continue
-            for ci, res, cost in run_chains(sol, part, kernel, rng):
+            for ci, res, cost in run_chains(sol, part, kernels[name], rng):
                 label_index.append(first[name] + ci)
                 costs.append(cost)
                 n_open.append(len(res.open_set))

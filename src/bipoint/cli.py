@@ -24,7 +24,7 @@ from .instances import (
     write_instance,
 )
 from .rounding import fractional_budget, sr_cost_bound, star_round
-from .tables import builtin_tables
+from .tables import CATALOGUE, builtin_tables, table_for_m
 
 
 def _seed(args) -> int:
@@ -111,9 +111,9 @@ def _file_hash(path: str) -> str:
 
 def cmd_gap_build(args) -> int:
     sol = golden.build_golden(args.k)
-    write_instance(sol, args.out)
-    print(json.dumps({"k": args.k, "out": args.out,
-                      "hash": _file_hash(args.out),
+    write_instance(sol, args.out_file)
+    print(json.dumps({"k": args.k, "out": args.out_file,
+                      "hash": _file_hash(args.out_file),
                       "n_points": sol.instance.n_points}))
     return 0
 
@@ -214,9 +214,7 @@ def cmd_alg_chains(args) -> int:
         report["cover_chains"] = [c.label() for c in cover]
         chains = cover
     if args.iterative:
-        g_inner = [0.6586] if args.m == 2 else \
-            ([0.642, 0.833] if args.m == 3 else [])
-        g_bounds = [0] + g_inner + [1]
+        g_bounds = [0, *CATALOGUE[table_for_m(args.m)].g_inner, 1]
 
         def objective(subset):
             if not subset:
@@ -239,7 +237,6 @@ def cmd_alg_chains(args) -> int:
 
 def cmd_alg_run(args) -> int:
     kernel = algfamily.builtin_kernels()[args.table]
-    m = kernel.m
     rng = random.Random(_seed(args))
     records = []
     for trial in range(args.trials):
@@ -252,9 +249,8 @@ def cmd_alg_run(args) -> int:
         forest = algfamily.build_stars(sol)
         if not forest.has_secondary:
             continue
-        inner = algfamily.G_M2 if m == 2 else \
-            (algfamily.G_M3 if m == 3 else ())
-        part = algfamily.build_partition(sol, forest, inner)
+        part = algfamily.build_partition(sol, forest,
+                                         CATALOGUE[args.table].g_inner)
         for ci, res, cost in algfamily.run_chains(sol, part, kernel, rng):
             records.append({
                 "trial": trial, "chain": ci,
@@ -302,8 +298,8 @@ def cmd_round_sr(args) -> int:
 
 
 def cmd_bound_run(args) -> int:
-    table = {1: "alg1", 2: "alg2", 3: "alg3"}[args.m]
-    model = nlp.model_for_table(table, [Fraction(g) for g in args.g])
+    model = nlp.model_for_table(table_for_m(args.m),
+                                [Fraction(g) for g in args.g])
     t0 = time.time()
     try:
         cert = nlp.branch_and_bound(
@@ -339,9 +335,8 @@ def cmd_bound_point(args) -> int:
         with open(args.file) as fh:
             data = json.load(fh)
         _validate_schema(data, "point.schema.json")
-        table = data.get("table") or \
-            {1: "alg1", 2: "alg2", 3: "alg3"}[data["m"]]
-        m, chains = builtin_tables()[table]
+        m, chains = builtin_tables()[data.get("table")
+                                     or table_for_m(data["m"])]
         model = nlp.NlpModel(m=m, g_bounds=data["g_bounds"], chains=chains)
         env = data["env"]
         profile = {}
@@ -416,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = gap.add_subparsers(dest="mode", required=True)
     g = gsub.add_parser("build")
     g.add_argument("--k", type=int, required=True)
+    # not args.out: that is the global --out report flag
     g.add_argument("--out", dest="out_file", required=True)
-    g.set_defaults(func=lambda a: cmd_gap_build(_alias(a)))
+    g.set_defaults(func=cmd_gap_build)
     g = gsub.add_parser("verify")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--explicit", action="store_true",
@@ -451,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=0)
     a.set_defaults(func=cmd_alg_chains)
     a = asub.add_parser("run")
-    a.add_argument("--table", choices=["alg1", "alg2", "alg3", "uniform"],
-                   required=True)
+    a.add_argument("--table", choices=list(CATALOGUE), required=True)
     a.add_argument("--trials", type=int, default=10)
     _add_instance_flags(a)
     a.set_defaults(func=cmd_alg_run)
@@ -496,12 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=cmd_suite)
 
     return top
-
-
-def _alias(args):
-    # `gap build --out` clashes with the global --out report flag
-    args.out = args.out_file
-    return args
 
 
 def main(argv=None) -> int:

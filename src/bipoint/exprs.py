@@ -175,6 +175,10 @@ class Op(Expr):
         if op == "-":
             return vals[0] - vals[1]
         if op == "*":
+            # a zero factor makes the exact product 0, also against a factor
+            # that overflowed to inf, as in ``_mul``
+            if vals[0] == 0 or vals[1] == 0:
+                return vals[0] if vals[0] == 0 else vals[1]
             return vals[0] * vals[1]
         if op == "/":
             if vals[1] == 0:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .instances import (
@@ -405,6 +404,12 @@ def rational_vertex_bound(c: GoldenConstants, surplus=0) -> Fraction:
     return verts[0].value if verts else None
 
 
+def _digits_50(x: FieldElt) -> str:
+    """x in [1, 10) to 50 significant digits, rounded to nearest."""
+    n = math.floor(x * 10 ** 49 + Fraction(1, 2))
+    return f"{n // 10 ** 49}.{n % 10 ** 49:049d}"
+
+
 def verify_gap_identities() -> dict:
     """Exact checks in Q(sqrt(phi)): the defining quadratic of phi, the
     four-way tie of the minimizing vertices at sqrt(phi), the odd vertex
@@ -414,14 +419,7 @@ def verify_gap_identities() -> dict:
     odd = [v for v in values if v != F_S]
     v5_target = 3 * F_ELL + 2 * F_INV_S - 2  # 3/phi + 2/sqrt(phi) - 2
     D1 = (2 - F_ELL) + 2 * F_A * F_ELL
-    with mpmath.workdps(50):
-        s = mpmath.sqrt(mpmath.phi)
-        sqrt_phi_50 = mpmath.nstr(s, 50)
-        total = mpmath.mpf(0)
-        for i, a in enumerate(values[0]):
-            total += mpmath.mpf(a.numerator) / mpmath.mpf(a.denominator) \
-                * s ** i
-        min50 = mpmath.nstr(total, 50)
+    sqrt_phi_50, min50 = _digits_50(F_S), _digits_50(values[0])
     return {
         "phi_quadratic": (F_PHI * F_PHI - F_PHI - 1).is_zero(),
         "n_vertices": len(values),

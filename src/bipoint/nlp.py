@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algfamily import cost_bound, instantiate, is_valid
+from .algfamily import instantiate, is_valid, set_size
 from .tables import builtin_tables, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
@@ -41,17 +41,12 @@ class NlpModel:
     m: int
     g_bounds: list  # thresholds g_0 = 0 < g_1 < ... < g_m
     chains: list  # list of {set name: tables.LinFrac}
-    include_sr: bool = True
     name: str = ""
 
     def box_vars(self) -> list:
         if self.m == 1:
             return ["b", "gA1"]
         return ["b"] + [f"gA{t}" for t in range(2, self.m + 1)]
-
-    def class_keys(self) -> list:
-        return [(z, x, y) for z in "BC"
-                for x in range(1, self.m + 1) for y in range(1, self.m + 1)]
 
     @cached_property
     def thresholds(self) -> list:
@@ -64,9 +59,15 @@ class NlpModel:
         return compile_chains(self)
 
     @cached_property
-    def lp_template(self) -> "LpTemplate":
+    def lp_template(self) -> "LpProblem":
         """``build_lp_template(self)``, computed on first use."""
         return build_lp_template(self)
+
+
+def class_keys(m: int) -> list:
+    """The client classes (zone, x, y), in the order of the cost columns."""
+    return [(z, x, y) for z in "BC"
+            for x in range(1, m + 1) for y in range(1, m + 1)]
 
 
 def model_for_table(table: str, g_inner) -> NlpModel:
@@ -241,7 +242,7 @@ def threshold_floats(g_bounds) -> list:
 
 def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
     """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}), each of shape
-    (..., chains, classes) with the classes in ``NlpModel.class_keys`` order,
+    (..., chains, classes) with the classes in ``class_keys(m)`` order,
     with each p / (1-p) occurrence relaxed independently.
 
     ``p0``, ``p1`` are ``chain_bounds`` arrays (columns in ``set_names(m)``
@@ -289,33 +290,21 @@ class LpSolution:
     point: dict = None
 
 
-@dataclass(frozen=True)
-class LpTemplate:
+def build_lp_template(model: NlpModel) -> LpProblem:
     """What every box LP of a model shares.  ``A_ub`` holds the rows that no
     box changes; the chain block and the entries that depend on b are 0.
     The arrays are never written once built: the LPs share them, and
     ``_HighsSolver`` recognises them by identity."""
-
-    c: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-    bounds: list
-    var_names: list
-
-
-def build_lp_template(model: NlpModel) -> LpTemplate:
     n_chain = len(model.chains)
     var_names = ["X", "D1", "D2"]
-    for z, x, y in model.class_keys():
+    for z, x, y in class_keys(model.m):
         var_names += [f"D_{z}1_{x}{y}", f"D_{z}2_{x}{y}"]
     nv = len(var_names)
     # rows: X <= cost of each chain, then the SR bound, the relaxed
     # normalization (1 - b) D1 + b D2 <= 1 and D2 <= D1
-    n_ub = n_chain + model.include_sr + 2
+    n_ub = n_chain + 3
     A_ub = np.zeros((n_ub, nv))
-    A_ub[:n_chain + model.include_sr, 0] = 1.0
+    A_ub[:n_chain + 1, 0] = 1.0
     A_ub[-1, 2] = 1.0
     A_ub[-1, 1] = -1.0
     b_ub = np.zeros(n_ub)
@@ -328,8 +317,8 @@ def build_lp_template(model: NlpModel) -> LpTemplate:
     c = np.zeros(nv)
     c[0] = -1.0  # maximize X
     bounds = [(0.0, X_CAP)] + [(0.0, None)] * (nv - 1)
-    return LpTemplate(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.zeros(2),
-                      bounds=bounds, var_names=var_names)
+    return LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.zeros(2),
+                     bounds=bounds, var_names=var_names)
 
 
 def relax_to_lp(model: NlpModel, boxes: list) -> list:
@@ -351,8 +340,7 @@ def relax_to_lp(model: NlpModel, boxes: list) -> list:
     A_ub[:, :n_chain, 3::2] -= c1
     A_ub[:, :n_chain, 4::2] -= c2
     b0, b1 = bounds[:, 0, 0], bounds[:, 0, 1]
-    if model.include_sr:
-        A_ub[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
+    A_ub[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
     # relaxed normalization (the exact constraint holds at some b in the box)
     A_ub[:, -2, 1] = 1 - b1
     A_ub[:, -2, 2] = b1
@@ -390,7 +378,7 @@ class _HighsSolver:
     ``linprog`` spends most of a box LP's time checking options and building
     a fresh solver; here one ``HighsLp`` is kept, its costs, bounds and sizes
     written again only when an LP does not share them with the one before
-    (the LPs of one model share them through its ``LpTemplate``), and each
+    (the LPs of one model share them through its ``lp_template``), and each
     call hands over the column-wise matrix.  ``passModel`` discards the
     previous model and its basis, so every solve starts cold and its answer
     does not depend on the LPs solved before it.  Not safe to call from
@@ -496,12 +484,12 @@ def _box_values(model, boxes) -> list:
     return values
 
 
-def _split(box: dict, min_width=1e-9) -> list:
-    """Halve every bounded variable wider than min_width; tails stay whole."""
+def _split(box: dict) -> list:
+    """Halve every bounded variable wider than 1e-9; tails stay whole."""
     axes = []
     split_any = False
     for var, (lo, hi) in box.items():
-        if math.isinf(hi) or hi - lo <= min_width:
+        if math.isinf(hi) or hi - lo <= 1e-9:
             axes.append([(lo, hi)])
         else:
             mid = (lo + hi) / 2
@@ -736,6 +724,23 @@ class PointReport:
     violations: list = field(default_factory=list)
 
 
+def point_costs(vectors, env: dict, thresholds, m: int, profile: dict):
+    """The cost bound of each parameter vector at the point ``env``: the box
+    LP's cost rows on the degenerate box at the point, summed against
+    ``profile``, which maps (zone, x, y) to the class's (D_1, D_2).
+
+    A set that is empty at the point reads 1, which drops it from the backup
+    minimum; a class on an empty set must hold no mass.
+    """
+    sets = set_names(m)
+    p = np.array([[1.0 if set_size(W, env) == 0 else float(v[W])
+                   for W in sets] for v in vectors]).reshape(-1, len(sets))
+    c1, c2 = relaxed_cost_coeffs(p, p, thresholds, m)
+    d = np.array([profile.get(key, (0, 0)) for key in class_keys(m)],
+                 dtype=float)
+    return c1 @ d[:, 0] + c2 @ d[:, 1]
+
+
 def evaluate_point(model: NlpModel, env: dict, profile: dict,
                    X: float = None, tol: float = 1e-6) -> PointReport:
     """Evaluate every chain's cost bound and the SR bound at a full variable
@@ -746,11 +751,13 @@ def evaluate_point(model: NlpModel, env: dict, profile: dict,
     """
     violations = []
     m = model.m
-    # a class with an empty facility set holds no clients; any mass placed
-    # there is inadmissible and excluded from the chain costs
+    classes = set(class_keys(m))
+    # a class with an empty facility set, or one the model does not have,
+    # holds no clients; any mass placed there is inadmissible and excluded
+    # from the chain costs
     kept = {}
     for (z, x, y), d in profile.items():
-        if env.get(f"gA{x}", 1) == 0 or \
+        if (z, x, y) not in classes or env.get(f"gA{x}", 1) == 0 or \
                 env.get(f"g{'C' if z == 'C' else 'A'}{y}", 1) == 0:
             if d[0] or d[1]:
                 violations.append(f"mass on empty class {(z, x, y)}")
@@ -770,18 +777,16 @@ def evaluate_point(model: NlpModel, env: dict, profile: dict,
     if not (0 <= b <= 1):
         violations.append(f"b={b} outside [0,1]")
 
-    costs = {}
+    valid = {}
     for i, params in enumerate(model.chains):
         values = instantiate(params, env)
-        if not is_valid(values, env, m, tol=1e-9 if tol < 1e-9 else tol).ok:
-            continue
-        costs[f"chain{i}"] = float(
-            cost_bound(values, env, model.g_bounds, m, profile))
+        if is_valid(values, env, m, tol=1e-9 if tol < 1e-9 else tol).ok:
+            valid[f"chain{i}"] = values
+    costs = dict(zip(valid, map(float, point_costs(
+        list(valid.values()), env, model.thresholds, m, profile))))
     sr_value = float((1 - b) * D1 + b * (3 - 2 * b) * D2)
-    pool = dict(costs)
-    if model.include_sr:
-        pool["SR"] = sr_value
-    objective = min(pool.values()) if pool else math.inf
+    pool = {**costs, "SR": sr_value}
+    objective = min(pool.values())
     tight = [k for k, v in pool.items() if v <= objective + 1e-3]
     if X is not None and X > objective + tol:
         violations.append(f"X={X} exceeds the best bound {objective}")

@@ -148,9 +148,7 @@ def build_partition(sol: BiPointSolution, forest: StarForest, g_thresholds) -> F
     for t in range(m - 1, 0, -1):
         Ct = sorted({forest.sigmaC[i] for i in A[t]} - taken)
         avail = [i for i in pool_all if i not in taken and i not in Ct]
-        while len(Ct) < len(A[t]) and avail:
-            Ct.append(avail.pop(0))
-        Ct = sorted(Ct)[: len(A[t])] if len(Ct) > len(A[t]) else sorted(Ct)
+        Ct = sorted(Ct + avail[:len(A[t]) - len(Ct)])
         C[t] = Ct
         taken |= set(Ct)
     C[0] = sorted(i for i in pool_all if i not in taken)

@@ -1,5 +1,6 @@
-"""Built-in chain tables for the partition-hierarchy algorithm families, and
-``LinFrac``, the exact form of every chain parameter.
+"""Built-in chain tables for the partition-hierarchy algorithm families, the
+``CATALOGUE`` of each table's m and default thresholds, and ``LinFrac``, the
+exact form of every chain parameter.
 
 Each chain is a per-set parameter formula in the variables ``b``, ``gA2``,
 ``gA3`` (level-set size ratios) and the derived ``gC2``, ``gC3``; every
@@ -14,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -306,9 +308,32 @@ TABLE_UNIFORM = [
      "(b - gA2 - gC2) / (1 - gC2)", "1"),
 ]
 
-_RAW = {"alg1": TABLE_M1, "alg2": TABLE_M2, "alg3": TABLE_M3,
-        "uniform": TABLE_UNIFORM}
-_M = {"alg1": 1, "alg2": 2, "alg3": 3, "uniform": 2}
+# default g-thresholds for the two- and three-level hierarchies
+G_M2 = (Fraction(6586, 10000),)
+G_M3 = (Fraction(642, 1000), Fraction(833, 1000))
+
+
+class Table(NamedTuple):
+    m: int  # levels of the hierarchy
+    rows: list  # one tuple of 3m formulas per chain, in set_names(m) order
+    g_inner: tuple  # default inner thresholds g_1..g_{m-1}
+
+
+# every built-in table, in the order best_of runs them
+CATALOGUE = {
+    "alg1": Table(1, TABLE_M1, ()),
+    "alg2": Table(2, TABLE_M2, G_M2),
+    "alg3": Table(3, TABLE_M3, G_M3),
+    "uniform": Table(2, TABLE_UNIFORM, G_M2),
+}
+
+
+def table_for_m(m: int) -> str:
+    """The first catalogued table with m levels: the table a bare m names."""
+    for name, table in CATALOGUE.items():
+        if table.m == m:
+            return name
+    raise ValueError(f"no built-in table has m={m}")
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +343,7 @@ def builtin_tables() -> dict:
     Returns {name: (m, [chain dict set_name -> LinFrac])}.
     """
     out = {}
-    for name, rows in _RAW.items():
-        m = _M[name]
+    for name, (m, rows, _) in CATALOGUE.items():
         names = set_names(m)
         chains = []
         for row in rows:

@@ -15,7 +15,6 @@ from bipoint.algfamily import (
     ChainSpec,
     best_of,
     canonical,
-    cost_bound,
     derive_gamma_env,
     enumerate_algm,
     execute,
@@ -28,6 +27,7 @@ from bipoint.algfamily import (
     param_env,
 )
 from bipoint.instances import connection_cost_float, synthesize_random_bipoint
+from bipoint.nlp import point_costs, threshold_floats
 from bipoint.partition import build_partition, build_stars, class_aggregates, \
     classify_clients
 from bipoint.tables import builtin_tables, set_names
@@ -258,10 +258,10 @@ def test_cost_bound_dominates_monte_carlo():
     env = param_env(sol, part)
     classified = classify_clients(sol, forest, part)
     profile = class_aggregates(sol.instance, classified, part.m)
-    g_bounds = [0] + [float(g) for g in G_M2] + [1]
+    thresholds = threshold_floats([0] + [float(g) for g in G_M2] + [1])
     rng = random.Random(3)
     for vals in enumerate_algm(2, env):
-        bound = float(cost_bound(vals, env, g_bounds, 2, profile))
+        bound = float(point_costs([vals], env, thresholds, 2, profile)[0])
         costs = []
         for _ in range(150):
             res = execute(vals, part, rng)

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipoint.exprs import (
@@ -124,6 +124,12 @@ def rand_expr(draw, depth=0):
 
 @settings(max_examples=400, deadline=None)
 @given(rand_expr(), boxed_env())
+# 1/b overflows to inf at a subnormal b, and the exact product with gA1 = 0
+# is 0, inside the enclosure [0, 0]
+@example(Op("*", Op("+", Op("/", Const(1), Var("b")), Const(0)), Var("gA1")),
+         ({"b": Interval(0.0, 1.0), "gA1": Interval(0.0, 0.0),
+           "gA2": Interval(0.0, 0.0)},
+          {"b": 5e-324, "gA1": 0.0, "gA2": 0.0}))
 def test_box_contains_point_value(e, envs):
     env_box, env_pt = envs
     enclosure = e.box(env_box)

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from bipoint import nlp
-from bipoint.algfamily import cost_bound, derive_gamma_env, generate_chains, \
-    instantiate, is_valid
+from bipoint.algfamily import derive_gamma_env, generate_chains, \
+    instantiate, is_valid, set_size
 from bipoint.nlp import (
     branch_and_bound,
     evaluate_point,
     gamma_intervals,
     initial_boxes,
     model_for_table,
+    point_costs,
     preset_hard_point_s3,
     preset_m1_feasible,
     relax_to_lp,
@@ -30,7 +31,8 @@ from bipoint.nlp import (
     replay_certificate,
     solve_lp,
 )
-from bipoint.tables import read_param, set_names
+from bipoint.exprs import EMPTY, iv
+from bipoint.tables import CATALOGUE, read_param, set_names
 from reference_trees import as_tree, interval_env
 
 
@@ -505,7 +507,7 @@ def _reference_cost_coeffs(pboxes, g_bounds, m):
 @pytest.mark.parametrize("table,g", SOLVER_MODELS + [("alg2", [0.6586])])
 def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
     model = model_for_table(table, g)
-    sets, keys = set_names(model.m), model.class_keys()
+    sets, keys = set_names(model.m), nlp.class_keys(model.m)
     for box in _lp_boxes(model, 11, 30):
         env = interval_env(box, model.m)
         pboxes = [{W: as_tree(params[W]).box(env) for W in sets}
@@ -518,13 +520,67 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
             assert list(zip(c1[i], c2[i])) == [want[key] for key in keys]
 
 
+def _reference_point_costs(vectors, env, g_bounds, m, profile):
+    """Each vector's cost as the per-class sum of ``_reference_cost_coeffs``
+    on degenerate intervals; an empty set takes the box LP's empty marker."""
+    out = []
+    for values in vectors:
+        pboxes = {W: EMPTY if set_size(W, env) == 0 else iv(values[W])
+                  for W in set_names(m)}
+        out.append(sum(c1 * d1 + c2 * d2 for key, (c1, c2) in
+                       _reference_cost_coeffs(pboxes, g_bounds, m).items()
+                       for d1, d2 in [profile.get(key, (0, 0))]))
+    return out
+
+
+def _valid_vectors(model, env):
+    vectors = [instantiate(params, env) for params in model.chains]
+    return [v for v in vectors if is_valid(v, env, model.m, tol=1e-6).ok]
+
+
+def _random_point(rng, m):
+    """An exact point whose gA1 is 0 half the time, and a random profile on
+    its nonempty classes; gA_m or gA2 + gA3 reaching 1 empties C_1."""
+    gAs = [Fraction(rng.randrange(0, 31), 20) for _ in range(m)]
+    if rng.random() < 0.5:
+        gAs[0] = Fraction(0)
+    env = derive_gamma_env(Fraction(rng.randrange(0, 21), 20), gAs)
+    profile = {(z, x, y): (rng.random(), rng.random())
+               for z in "BC" for x in range(1, m + 1) for y in range(1, m + 1)
+               if env[f"gA{x}"] and env[f"g{'C' if z == 'C' else 'A'}{y}"]}
+    return env, profile
+
+
+def test_point_costs_equal_reference_cost_coeffs():
+    """``evaluate_point``'s chain costs are the box LP's cost rows at the
+    point, checked on both presets and on random exact points, with empty
+    A_1 and empty C_1 among them."""
+    cases = [preset() for preset in (preset_hard_point_s3, preset_m1_feasible)]
+    rng = random.Random(9)
+    for name in ("alg2", "alg3", "uniform"):
+        model = model_for_table(name, CATALOGUE[name].g_inner)
+        cases += [(model, *_random_point(rng, model.m)) for _ in range(60)]
+    checked, empty_a1, empty_c1 = 0, 0, 0
+    for model, env, profile in cases:
+        vectors = _valid_vectors(model, env)
+        got = point_costs(vectors, env, model.thresholds, model.m, profile)
+        want = _reference_point_costs(vectors, env, model.g_bounds, model.m,
+                                      profile)
+        assert list(got) == pytest.approx(want, rel=1e-12, abs=0)
+        checked += len(vectors)
+        empty_a1 += bool(vectors) and env["gA1"] == 0
+        empty_c1 += bool(vectors) and env["gC1"] == 0
+    assert checked > 500 and empty_a1 > 10 and empty_c1 > 10, \
+        (checked, empty_a1, empty_c1)
+
+
 def _reference_relax_to_lp(model, box):
     """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced."""
     m = model.m
     env = interval_env(box, m)
     var_names = ["X", "D1", "D2"]
     idx = {}
-    for z, x, y in model.class_keys():
+    for z, x, y in nlp.class_keys(m):
         for i in (1, 2):
             idx[(z, i, x, y)] = len(var_names)
             var_names.append(f"D_{z}{i}_{x}{y}")
@@ -541,11 +597,10 @@ def _reference_relax_to_lp(model, box):
         A_ub.append(r)
         b_ub.append(0.0)
     b0, b1 = float(box["b"][0]), float(box["b"][1])
-    if model.include_sr:
-        r = np.zeros(nv)
-        r[0], r[2] = 1.0, -2.0 * b1 * (1 - b0)
-        A_ub.append(r)
-        b_ub.append(1.0)
+    r = np.zeros(nv)
+    r[0], r[2] = 1.0, -2.0 * b1 * (1 - b0)
+    A_ub.append(r)
+    b_ub.append(1.0)
     r = np.zeros(nv)
     r[1], r[2] = 1 - b1, b1
     A_ub.append(r)
@@ -558,7 +613,7 @@ def _reference_relax_to_lp(model, box):
     for i in (1, 2):
         r = np.zeros(nv)
         r[i] = 1.0
-        for z, x, y in model.class_keys():
+        for z, x, y in nlp.class_keys(m):
             r[idx[(z, i, x, y)]] = -1.0
         A_eq.append(r)
     c = np.zeros(nv)
@@ -723,3 +778,8 @@ def test_evaluate_point_flags_violations():
     bad["b"] = Fraction(3, 2)
     rep = evaluate_point(model, bad, profile)
     assert not rep.feasible
+    # mass on a class the model does not have: zone A, or a level above m
+    for key in (("A", 1, 1), ("C", 2, 1)):
+        assert evaluate_point(model, env, {**profile, key: (0, 0)}).feasible
+        rep = evaluate_point(model, env, {**profile, key: (1, 0)})
+        assert rep.violations == [f"mass on empty class {key}"]
