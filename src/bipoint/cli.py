@@ -328,6 +328,28 @@ def cmd_bound_run(args) -> int:
     return 0 if cert.status == "certified" else 1
 
 
+def _point_model(data: dict) -> tuple:
+    """(m, chains) of a point description that passed the schema, after the
+    checks the schema cannot make: ``m`` is the table's, ``g_bounds`` holds
+    m + 1 values strictly increasing from 0, and ``env`` gives b and every
+    gA_t and gC_t."""
+    table = data.get("table") or table_for_m(data["m"])
+    m, chains = builtin_tables()[table]
+    if data["m"] != m:
+        raise ValueError(f"m={data['m']}, but table {table} has m={m}")
+    g = data["g_bounds"]
+    if len(g) != m + 1 or g[0] != 0 or \
+            any(lo >= hi for lo, hi in zip(g, g[1:])):
+        raise ValueError(f"g_bounds must hold {m + 1} values strictly "
+                         f"increasing from 0: {g}")
+    missing = [v for v in ["b"] + [f"g{z}{t}" for z in "AC"
+                                   for t in range(1, m + 1)]
+               if v not in data["env"]]
+    if missing:
+        raise ValueError(f"env lacks {', '.join(missing)}")
+    return m, chains
+
+
 def cmd_bound_point(args) -> int:
     if args.preset:
         model, env, profile = nlp.PRESETS[args.preset]()
@@ -335,8 +357,7 @@ def cmd_bound_point(args) -> int:
         with open(args.file) as fh:
             data = json.load(fh)
         _validate_schema(data, "point.schema.json")
-        m, chains = builtin_tables()[data.get("table")
-                                     or table_for_m(data["m"])]
+        m, chains = _point_model(data)
         model = nlp.NlpModel(m=m, g_bounds=data["g_bounds"], chains=chains)
         env = data["env"]
         profile = {}
@@ -462,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="certified factor bounds")
     bsub = bound.add_subparsers(dest="mode")
     bp = bsub.add_parser("point")
-    bp.add_argument("--preset", choices=sorted(nlp.PRESETS))
-    bp.add_argument("--file", help="point description JSON")
+    source = bp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=sorted(nlp.PRESETS))
+    source.add_argument("--file", help="point description JSON")
     bp.add_argument("--X", type=float, default=None)
     bp.add_argument("--tol", type=float, default=1e-6)
     bp.set_defaults(func=cmd_bound_point)

@@ -30,42 +30,26 @@ from .instances import (
 
 @dataclass
 class GoldenConstants:
-    """The exact constants in Q(sqrt(phi)) plus, when k is given, the
-    rational stand-ins t_B/k, t_C/k, l_q and the exact b derived from them."""
+    """The rational stand-ins of the construction at k: the set sizes
+    t_B ~ r_B k and t_C ~ r_C k, l_q for l, and the exact b and a derived
+    from them.  The exact limits in Q(sqrt(phi)) are the ``F_*`` constants."""
 
-    phi: FieldElt
-    omega: FieldElt
-    ell: FieldElt
-    r_B: FieldElt
-    r_C: FieldElt
-    b: FieldElt
-    a: FieldElt
-    k: int = None
-    t_B: int = None
-    t_C: int = None
-    ell_q: Fraction = None
-    b_q: Fraction = None
-    a_q: Fraction = None
-
-    def floats(self) -> dict:
-        return {n: float(getattr(self, n))
-                for n in ("phi", "omega", "ell", "r_B", "r_C", "b", "a")}
+    k: int
+    t_B: int
+    t_C: int
+    ell_q: Fraction
+    b_q: Fraction
+    a_q: Fraction
 
 
-def golden_constants(k: int = None) -> GoldenConstants:
-    c = GoldenConstants(phi=F_PHI, omega=F_OMEGA, ell=F_ELL, r_B=F_RB,
-                        r_C=F_RC, b=F_B, a=F_A)
-    if k is not None:
-        t_B = math.floor(F_RB * k + Fraction(1, 2))
-        t_C = math.floor(F_RC * k + Fraction(1, 2))
-        if t_B < 1 or t_C < 1:
-            raise ValueError(f"k={k} too small for the construction")
-        b_q = Fraction(k - t_B, t_C)  # (1 - t_B/k) / (t_C/k)
-        c.k, c.t_B, c.t_C = k, t_B, t_C
-        c.ell_q = ELL_Q
-        c.b_q = b_q
-        c.a_q = 1 - b_q
-    return c
+def golden_constants(k: int) -> GoldenConstants:
+    t_B = math.floor(F_RB * k + Fraction(1, 2))
+    t_C = math.floor(F_RC * k + Fraction(1, 2))
+    if t_B < 1 or t_C < 1:
+        raise ValueError(f"k={k} too small for the construction")
+    b_q = Fraction(k - t_B, t_C)  # (1 - t_B/k) / (t_C/k)
+    return GoldenConstants(k=k, t_B=t_B, t_C=t_C, ell_q=ELL_Q, b_q=b_q,
+                           a_q=1 - b_q)
 
 
 def analytic_costs(c: GoldenConstants) -> tuple:
@@ -206,19 +190,17 @@ def _vertices(r_B, r_C, ell, a, rhs) -> list:
     return verts
 
 
-def extreme_points(c: GoldenConstants = None, surplus=0) -> list:
+def extreme_points(surplus=0) -> list:
     """Vertices of {x in [0,1]^3 : x_A r_B + x_B r_B + x_C r_C = 1 + surplus}
     with the objective f evaluated at each; exact in Q(sqrt(phi)) for a
     rational surplus."""
-    if c is None:
-        c = golden_constants()
-    return _vertices(c.r_B, c.r_C, c.ell, c.a, 1 + Fraction(surplus))
+    return _vertices(F_RB, F_RC, F_ELL, F_A, 1 + Fraction(surplus))
 
 
-def gap_lower_bound(c: GoldenConstants = None, surplus=0):
+def gap_lower_bound(surplus=0):
     """Minimum of f over the (possibly relaxed) polytope: the cost any
     solution opening k + surplus-many extra facilities must still pay."""
-    verts = extreme_points(c, surplus=surplus)
+    verts = extreme_points(surplus=surplus)
     return verts[0].value if verts else None
 
 

@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .algfamily import instantiate, is_valid, set_size
+from .partition import check_thresholds
 from .tables import builtin_tables, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
@@ -71,9 +72,10 @@ def class_keys(m: int) -> list:
 
 
 def model_for_table(table: str, g_inner) -> NlpModel:
-    """Model over a built-in chain table with inner thresholds g_1..g_{m-1}."""
+    """Model over a built-in chain table with inner thresholds g_1..g_{m-1},
+    which must be strictly increasing in (0,1) as for ``build_partition``."""
     m, chains = builtin_tables()[table]
-    g_bounds = [0] + list(g_inner) + [1]
+    g_bounds = [0] + check_thresholds(g_inner) + [1]
     if len(g_bounds) != m + 1:
         raise ValueError(f"table {table} needs {m - 1} inner thresholds")
     return NlpModel(m=m, g_bounds=g_bounds, chains=chains, name=table)
@@ -274,58 +276,64 @@ def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
 
 @dataclass
 class LpProblem:
-    c: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-    bounds: list
-    var_names: list
+    """A box LP in the form HiGHS reads: maximize X, the first column,
+    subject to row_lower <= A x <= row_upper and 0 <= x <= col_upper, the
+    columns in ``lp_columns(m)`` order.  The LPs of one model share the
+    three bound arrays of its ``lp_template``."""
+
+    A: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_upper: np.ndarray
 
 
 @dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded | failed
     value: float = -math.inf
-    point: dict = None
+
+
+def lp_columns(m: int) -> list:
+    """The names of the box LP's columns: X, D1, D2, then D_{Z,1} and
+    D_{Z,2} of each class in ``class_keys(m)`` order."""
+    names = ["X", "D1", "D2"]
+    for z, x, y in class_keys(m):
+        names += [f"D_{z}1_{x}{y}", f"D_{z}2_{x}{y}"]
+    return names
 
 
 def build_lp_template(model: NlpModel) -> LpProblem:
-    """What every box LP of a model shares.  ``A_ub`` holds the rows that no
+    """What every box LP of a model shares.  ``A`` holds the rows that no
     box changes; the chain block and the entries that depend on b are 0.
-    The arrays are never written once built: the LPs share them, and
+    The arrays are never written once built: the LPs share the bounds, and
     ``_HighsSolver`` recognises them by identity."""
     n_chain = len(model.chains)
-    var_names = ["X", "D1", "D2"]
-    for z, x, y in class_keys(model.m):
-        var_names += [f"D_{z}1_{x}{y}", f"D_{z}2_{x}{y}"]
-    nv = len(var_names)
+    nv = len(lp_columns(model.m))
     # rows: X <= cost of each chain, then the SR bound, the relaxed
-    # normalization (1 - b) D1 + b D2 <= 1 and D2 <= D1
-    n_ub = n_chain + 3
-    A_ub = np.zeros((n_ub, nv))
-    A_ub[:n_chain + 1, 0] = 1.0
-    A_ub[-1, 2] = 1.0
-    A_ub[-1, 1] = -1.0
-    b_ub = np.zeros(n_ub)
-    b_ub[n_chain:n_ub - 1] = 1.0
-
-    A_eq = np.zeros((2, nv))  # D_i = sum over classes of D_{Z,i}
-    A_eq[0, 1] = A_eq[1, 2] = 1.0
-    A_eq[0, 3::2] = A_eq[1, 4::2] = -1.0
-
-    c = np.zeros(nv)
-    c[0] = -1.0  # maximize X
-    bounds = [(0.0, X_CAP)] + [(0.0, None)] * (nv - 1)
-    return LpProblem(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.zeros(2),
-                     bounds=bounds, var_names=var_names)
+    # normalization (1 - b) D1 + b D2 <= 1, D2 <= D1, and the two
+    # equalities D_i = sum over classes of D_{Z,i}
+    eq = n_chain + 3
+    A = np.zeros((eq + 2, nv))
+    A[:n_chain + 1, 0] = 1.0
+    A[eq - 1, 2] = 1.0
+    A[eq - 1, 1] = -1.0
+    A[eq, 1] = A[eq + 1, 2] = 1.0
+    A[eq, 3::2] = A[eq + 1, 4::2] = -1.0
+    row_lower = np.full(eq + 2, -math.inf)
+    row_lower[eq:] = 0.0
+    row_upper = np.zeros(eq + 2)
+    row_upper[n_chain:eq - 1] = 1.0
+    col_upper = np.full(nv, math.inf)
+    col_upper[0] = X_CAP
+    return LpProblem(A=A, row_lower=row_lower, row_upper=row_upper,
+                     col_upper=col_upper)
 
 
 def relax_to_lp(model: NlpModel, boxes: list) -> list:
     """The relaxed LP of each box, all boxes enclosed in one pass.
 
-    The LPs share the arrays of ``model.lp_template`` but ``A_ub``, in which
-    each writes its chain block and its b entries.
+    Each LP copies the ``A`` of ``model.lp_template`` and writes its chain
+    block and its b entries; the bounds are the template's own arrays.
     """
     m, n_chain, t = model.m, len(model.chains), model.lp_template
     names = model.box_vars()
@@ -335,60 +343,42 @@ def relax_to_lp(model: NlpModel, boxes: list) -> list:
     p0, p1 = chain_bounds(model.chain_table, env)
     c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
 
-    A_ub = np.repeat(t.A_ub[np.newaxis], len(boxes), axis=0)
+    A = np.repeat(t.A[np.newaxis], len(boxes), axis=0)
     # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate
-    A_ub[:, :n_chain, 3::2] -= c1
-    A_ub[:, :n_chain, 4::2] -= c2
+    A[:, :n_chain, 3::2] -= c1
+    A[:, :n_chain, 4::2] -= c2
     b0, b1 = bounds[:, 0, 0], bounds[:, 0, 1]
-    A_ub[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
+    A[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
     # relaxed normalization (the exact constraint holds at some b in the box)
-    A_ub[:, -2, 1] = 1 - b1
-    A_ub[:, -2, 2] = b1
-    return [LpProblem(c=t.c, A_ub=a, b_ub=t.b_ub, A_eq=t.A_eq, b_eq=t.b_eq,
-                      bounds=t.bounds, var_names=t.var_names) for a in A_ub]
-
-
-LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
-                 "dual_feasibility_tolerance": 1e-9}
-
-
-def _solve_linprog(p: LpProblem) -> LpSolution:
-    """``scipy.optimize.linprog`` with HiGHS: the path taken when scipy ships
-    no HiGHS bindings, and the reference the direct path is tested against.
-    scipy.optimize is imported here, on the first LP, so that commands which
-    solve none do not load it."""
-    from scipy.optimize import linprog
-
-    res = linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq,
-                  bounds=p.bounds, method="highs", options=LP_TOLERANCES)
-    if res.status == 0:
-        point = dict(zip(p.var_names, res.x))
-        return LpSolution(status="optimal", value=-res.fun, point=point)
-    if res.status == 2:
-        return LpSolution(status="infeasible", value=-math.inf)
-    if res.status == 3:
-        return LpSolution(status="unbounded", value=math.inf)
-    return LpSolution(status="failed")
+    A[:, n_chain + 1, 1] = 1 - b1
+    A[:, n_chain + 1, 2] = b1
+    return [LpProblem(A=a, row_lower=t.row_lower, row_upper=t.row_upper,
+                      col_upper=t.col_upper) for a in A]
 
 
 class _HighsSolver:
     """One HiGHS instance from scipy's bundled bindings, configured once and
     reused for every LP.
 
-    ``linprog`` spends most of a box LP's time checking options and building
-    a fresh solver; here one ``HighsLp`` is kept, its costs, bounds and sizes
-    written again only when an LP does not share them with the one before
-    (the LPs of one model share them through its ``lp_template``), and each
-    call hands over the column-wise matrix.  ``passModel`` discards the
-    previous model and its basis, so every solve starts cold and its answer
-    does not depend on the LPs solved before it.  Not safe to call from
-    several threads at once.
+    One ``HighsLp`` is kept.  Its sizes, costs and bounds are written again
+    only when an LP does not share its bounds with the one before (the LPs
+    of one model share them through its ``lp_template``), and each call
+    hands over the column-wise matrix.  ``passModel`` discards the previous
+    model and its basis, so every solve starts cold and its answer does not
+    depend on the LPs solved before it.  Not safe to call from several
+    threads at once.
     """
 
-    def __init__(self, core):
+    def __init__(self):
+        # imported here, on the first LP, so that commands which solve none
+        # do not load scipy.optimize
+        import scipy.optimize._highspy._core as core
+
         self._core = core
         self._highs = core._Highs()
-        options = {"output_flag": False, "presolve": "off", **LP_TOLERANCES}
+        options = {"output_flag": False, "presolve": "off",
+                   "primal_feasibility_tolerance": 1e-9,
+                   "dual_feasibility_tolerance": 1e-9}
         for name, value in options.items():
             if self._highs.setOptionValue(name, value) != core.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejects option {name}={value!r}")
@@ -398,42 +388,38 @@ class _HighsSolver:
                         status.kUnbounded: "unbounded"}
         self._lp = core.HighsLp()
         self._lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        self._shared = (None,) * 4  # (c, bounds, b_ub, b_eq) in self._lp
+        self._row_upper = None  # the row_upper of the bounds in self._lp
 
     def _share(self, p: LpProblem) -> None:
         lp = self._lp
-        n_col, n_row = len(p.c), len(p.b_ub) + len(p.b_eq)
+        n_row, n_col = p.A.shape
         lp.num_col_ = lp.a_matrix_.num_col_ = n_col
         lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-        lp.col_cost_ = p.c
-        lp.col_lower_ = np.array([lo for lo, _ in p.bounds], dtype=float)
-        lp.col_upper_ = np.array([math.inf if hi is None else hi
-                                  for _, hi in p.bounds], dtype=float)
-        lp.row_lower_ = np.concatenate((np.full(len(p.b_ub), -math.inf),
-                                        p.b_eq))
-        lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
-        self._shared = (p.c, p.bounds, p.b_ub, p.b_eq)
+        cost = np.zeros(n_col)
+        cost[0] = -1.0  # maximize X
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.zeros(n_col)
+        lp.col_upper_ = p.col_upper
+        lp.row_lower_ = p.row_lower
+        lp.row_upper_ = p.row_upper
+        self._row_upper = p.row_upper
 
     def __call__(self, p: LpProblem) -> LpSolution:
         core, highs, lp = self._core, self._highs, self._lp
-        if any(a is not b for a, b in
-               zip((p.c, p.bounds, p.b_ub, p.b_eq), self._shared)):
+        if p.row_upper is not self._row_upper:
             self._share(p)
-        A = np.vstack((p.A_ub, p.A_eq))
-        col, row = np.nonzero(A.T)  # column-major order
+        col, row = np.nonzero(p.A.T)  # column-major order
         # lists convert to the bindings' vectors faster than arrays do
         mat = lp.a_matrix_
-        mat.start_ = np.searchsorted(col, np.arange(len(p.c) + 1)).tolist()
+        mat.start_ = np.searchsorted(col, np.arange(p.A.shape[1] + 1)).tolist()
         mat.index_ = row.tolist()
-        mat.value_ = A[row, col].tolist()
+        mat.value_ = p.A[row, col].tolist()
         if highs.passModel(lp) == core.HighsStatus.kError or \
                 highs.run() == core.HighsStatus.kError:
             return LpSolution(status="failed")
         status = self._status.get(highs.getModelStatus(), "failed")
         if status == "optimal":
-            point = dict(zip(p.var_names, highs.getSolution().col_value))
-            return LpSolution(status=status, value=-highs.getObjectiveValue(),
-                              point=point)
+            return LpSolution(status=status, value=-highs.getObjectiveValue())
         if status == "infeasible":
             return LpSolution(status=status, value=-math.inf)
         if status == "unbounded":
@@ -441,23 +427,14 @@ class _HighsSolver:
         return LpSolution(status=status)
 
 
-def _make_solver():
-    try:
-        import scipy.optimize._highspy._core as core
-    except ImportError:  # scipy before 1.15 bundles no HiGHS bindings
-        return _solve_linprog
-    return _HighsSolver(core)
-
-
 _solver = None  # made on the first solve_lp call
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Solve ``p`` with HiGHS: directly through scipy's bundled bindings when
-    they import, else through ``linprog``."""
+    """Solve ``p`` with HiGHS, through scipy's bundled bindings."""
     global _solver
     if _solver is None:
-        _solver = _make_solver()
+        _solver = _HighsSolver()
     return _solver(p)
 
 

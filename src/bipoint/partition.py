@@ -92,6 +92,17 @@ def g_value(inst: MetricInstance, i, forest: StarForest):
     return num / den
 
 
+def check_thresholds(g_thresholds) -> list:
+    """The inner thresholds of an m-level partition as a list, after checking
+    that they are strictly increasing in (0,1): 0 < g_1 < ... < g_{m-1} < 1."""
+    inner = list(g_thresholds)
+    if any(not (0 < g < 1) for g in inner) or any(
+        inner[i] >= inner[i + 1] for i in range(len(inner) - 1)
+    ):
+        raise ValueError(f"thresholds must be strictly increasing in (0,1): {inner}")
+    return inner
+
+
 def build_partition(sol: BiPointSolution, forest: StarForest, g_thresholds) -> FacilityPartition:
     """Build {A_t, B_t, C_t} for the thresholds 0 < g_1 < ... < g_{m-1} < 1.
 
@@ -99,11 +110,7 @@ def build_partition(sol: BiPointSolution, forest: StarForest, g_thresholds) -> F
     padded lowest-id-first; C is filled from t = m downward, C_1 takes the
     remainder.
     """
-    inner = list(g_thresholds)
-    if any(not (0 < g < 1) for g in inner) or any(
-        inner[i] >= inner[i + 1] for i in range(len(inner) - 1)
-    ):
-        raise ValueError(f"thresholds must be strictly increasing in (0,1): {inner}")
+    inner = check_thresholds(g_thresholds)
     m = len(inner) + 1
     bounds = [0] + inner + [1]
 

@@ -396,10 +396,11 @@ def test_12_soundness_suites():
             for (z, xx, yy), (d1, d2) in profile.items():
                 x[f"D_{z}1_{xx}{yy}"] = d1
                 x[f"D_{z}2_{xx}{yy}"] = d2
-            vec = [x.get(name, 0.0) for name in lp.var_names]
-            for row, rhs in zip(lp.A_ub, lp.b_ub):
+            vec = [x.get(name, 0.0) for name in nlp.lp_columns(model.m)]
+            for row, lo, hi in zip(lp.A, lp.row_lower, lp.row_upper):
                 cases += 1
-                if sum(r * v for r, v in zip(row, vec)) > rhs + 1e-7:
+                if not lo - 1e-7 <= sum(r * v for r, v in zip(row, vec)) \
+                        <= hi + 1e-7:
                     violations.append(("lp-row", box, pt))
 
     assert cases >= 10 ** 5, cases

@@ -119,10 +119,19 @@ def test_bound_point_exits_1_on_violations(capsys):
     assert code == 1
 
 
-def test_bound_point_from_file(tmp_path, capsys):
+def test_bound_point_needs_a_preset_or_a_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "point"])
+    assert exc.value.code == 2
+    assert "one of the arguments --preset --file is required" in \
+        capsys.readouterr().err
+
+
+def _hard_point_spec():
+    """The hard-point-s3 preset as a point description."""
     from bipoint.nlp import preset_hard_point_s3
     model, env, profile = preset_hard_point_s3()
-    spec = {
+    return {
         "m": model.m,
         "g_bounds": [float(g) for g in model.g_bounds],
         "table": "uniform",
@@ -130,11 +139,33 @@ def test_bound_point_from_file(tmp_path, capsys):
         "profile": {f"{z},{x},{y}": [float(d1), float(d2)]
                     for (z, x, y), (d1, d2) in profile.items()},
     }
+
+
+def test_bound_point_from_file(tmp_path, capsys):
     path = tmp_path / "pt.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(_hard_point_spec()))
     code, rep = run_json(capsys, "bound", "point", "--file", str(path))
     assert code == 0
     assert rep["objective"] == pytest.approx(1.2943, abs=5e-4)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"g_bounds": [0, 1]}, "g_bounds must hold 3 values strictly increasing"),
+    ({"g_bounds": [0, 0.7, 0.5]}, "g_bounds must hold 3 values strictly"),
+    ({"env": {"b": 0.68, "gA2": 0.7478, "gC1": 0.6709, "gC2": 0.3291}},
+     "env lacks gA1"),
+    ({"m": 3}, "m=3, but table uniform has m=2"),
+], ids=["short-g_bounds", "decreasing-g_bounds", "no-gA1", "m-not-table"])
+def test_point_file_inconsistent_with_its_table_exits_1(tmp_path, capsys,
+                                                        change, message):
+    """A point description that passes the schema but does not fit its
+    table is refused like a schema rejection."""
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({**_hard_point_spec(), **change}))
+    code = main(["bound", "point", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err
 
 
 def test_bound_run_shorthand(capsys, tmp_path):
@@ -155,6 +186,17 @@ def test_bound_shorthand_after_top_level_options(capsys, tmp_path):
                   "--budget-boxes", "50000")
     assert code == 0
     assert json.loads(report.read_text())["status"] == "certified"
+
+
+@pytest.mark.parametrize("g", [["--m", "2", "--g", "0"],
+                               ["--m", "2", "--g", "1.5"],
+                               ["--m", "3", "--g", "0.9", "0.5"]],
+                         ids=["zero", "above-1", "decreasing"])
+def test_bound_run_refuses_thresholds_no_partition_has(capsys, g):
+    code = main(["bound", "run", *g, "--target", "1.4", "--budget-boxes", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "thresholds must be strictly increasing in (0,1)" in captured.err
 
 
 def test_bound_resume_against_another_target_exits_2(capsys, tmp_path):

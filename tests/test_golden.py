@@ -54,14 +54,12 @@ def test_field_arithmetic():
 
 
 def test_constants_structure():
-    c = golden_constants()
-    f = c.floats()
-    assert f["phi"] == pytest.approx(PHI)
-    assert f["omega"] == pytest.approx(PHI - math.sqrt(PHI))
-    assert f["ell"] == pytest.approx(1 / PHI)
-    assert f["r_B"] + f["r_C"] == pytest.approx(math.sqrt(PHI))
+    assert float(F_PHI) == pytest.approx(PHI)
+    assert float(F_OMEGA) == pytest.approx(PHI - math.sqrt(PHI))
+    assert float(F_ELL) == pytest.approx(1 / PHI)
+    assert float(F_RB) + float(F_RC) == pytest.approx(math.sqrt(PHI))
     # b = (1 - r_B)/r_C makes the mass identity hold in the limit
-    assert f["b"] == pytest.approx((1 - f["r_B"]) / f["r_C"])
+    assert float(F_B) == pytest.approx((1 - float(F_RB)) / float(F_RC))
     assert (F_RB + F_RC - F_S).is_zero()
     assert (F_B * F_RC + F_RB - 1).is_zero()
 

@@ -7,7 +7,6 @@ import json
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -212,9 +211,17 @@ def test_relaxed_normalization_feasible_for_true_points():
             z, xx, yy = key
             x[f"D_{z}1_{xx}{yy}"] = d1
             x[f"D_{z}2_{xx}{yy}"] = d2
-        vec = [x.get(name, 0.0) for name in lp.var_names]
-        for row, rhs in zip(lp.A_ub, lp.b_ub):
-            assert sum(r * v for r, v in zip(row, vec)) <= rhs + 1e-7
+        vec = [x.get(name, 0.0) for name in nlp.lp_columns(model.m)]
+        for row, lo, hi in zip(lp.A, lp.row_lower, lp.row_upper):
+            assert lo - 1e-7 <= sum(r * v for r, v in zip(row, vec)) <= \
+                hi + 1e-7
+
+
+@pytest.mark.parametrize("table,g", [("alg2", [0]), ("alg2", [1.5]),
+                                     ("alg3", [0.9, 0.5])])
+def test_model_for_table_refuses_what_build_partition_refuses(table, g):
+    with pytest.raises(ValueError, match=r"strictly increasing in \(0,1\)"):
+        model_for_table(table, g)
 
 
 def test_initial_boxes_cover_domain():
@@ -393,9 +400,7 @@ def cert_135(tmp_path_factory):
 
 
 def test_alg2_at_1_35_box_counts(cert_135):
-    """The box and leaf counts of the benchmark's certify run; they depend
-    on HiGHS's values, so the linprog path is not held to them."""
-    pytest.importorskip("scipy.optimize._highspy._core")
+    """The box and leaf counts of the benchmark's certify run."""
     _, _, cert = cert_135
     assert cert.status == "certified"
     assert (cert.boxes_processed, cert.n_leaves) == (926, 690)
@@ -442,34 +447,36 @@ SOLVER_MODELS = [("alg2", [Fraction("0.6586")]),
                  ("alg3", [Fraction("0.642"), Fraction("0.833")])]
 
 
+def _linprog(lp):
+    """(status, value) of ``lp`` from ``scipy.optimize.linprog``: the LP
+    taken apart into linprog's arguments, an independent reference."""
+    from scipy.optimize import linprog
+
+    eq = lp.row_lower == lp.row_upper
+    assert np.all(np.isneginf(lp.row_lower[~eq]))  # the rest are A x <= u
+    c = np.zeros(lp.A.shape[1])
+    c[0] = -1.0
+    res = linprog(c, A_ub=lp.A[~eq], b_ub=lp.row_upper[~eq], A_eq=lp.A[eq],
+                  b_eq=lp.row_upper[eq],
+                  bounds=[(0.0, hi) for hi in lp.col_upper], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status,
+                                                                 "failed")
+    return status, -res.fun if status == "optimal" else None
+
+
 @pytest.mark.parametrize("table,g", SOLVER_MODELS)
 def test_direct_highs_matches_linprog(table, g):
-    core = pytest.importorskip("scipy.optimize._highspy._core")
-    direct = nlp._HighsSolver(core)
+    direct = nlp._HighsSolver()
     model = model_for_table(table, g)
     boxes = _lp_boxes(model, 7, 50)
     for box, lp in zip(boxes, relax_to_lp(model, boxes)):
-        got, want = direct(lp), nlp._solve_linprog(lp)
-        assert got.status == want.status, box
-        if want.status == "optimal":
-            assert abs(got.value - want.value) <= 1e-9, box
-            assert got.point.keys() == want.point.keys()
-
-
-def test_solve_lp_falls_back_to_linprog(monkeypatch):
-    """Without scipy's HiGHS bindings, solve_lp goes through linprog."""
-    # nlp loads scipy.optimize on the first LP, and on current scipy its
-    # linprog loads the bindings itself: load it before hiding them, as a
-    # scipy that ships no bindings would have it
-    import scipy.optimize  # noqa: F401
-    monkeypatch.setattr(nlp, "_solver", None)
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    model = model_for_table("alg2", [0.6586])
-    lp = relax_to_lp(model, initial_boxes(model)[:1])[0]
-    sol = solve_lp(lp)
-    assert nlp._solver is nlp._solve_linprog
-    assert sol.status == "optimal"
-    assert sol.value == nlp._solve_linprog(lp).value
+        got = direct(lp)
+        status, value = _linprog(lp)
+        assert got.status == status, box
+        if status == "optimal":
+            assert abs(got.value - value) <= 1e-9, box
 
 
 def _p_bounds(pbox):
@@ -575,7 +582,8 @@ def test_point_costs_equal_reference_cost_coeffs():
 
 
 def _reference_relax_to_lp(model, box):
-    """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced."""
+    """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced, and
+    the names of the LP's columns."""
     m = model.m
     env = interval_env(box, m)
     var_names = ["X", "D1", "D2"]
@@ -585,7 +593,7 @@ def _reference_relax_to_lp(model, box):
             idx[(z, i, x, y)] = len(var_names)
             var_names.append(f"D_{z}{i}_{x}{y}")
     nv = len(var_names)
-    A_ub, b_ub = [], []
+    A, row_upper = [], []
     for params in model.chains:
         pboxes = {W: as_tree(params[W]).box(env) for W in set_names(m)}
         r = np.zeros(nv)
@@ -594,34 +602,34 @@ def _reference_relax_to_lp(model, box):
                 pboxes, model.g_bounds, m).items():
             r[idx[(z, 1, x, y)]] -= c1
             r[idx[(z, 2, x, y)]] -= c2
-        A_ub.append(r)
-        b_ub.append(0.0)
+        A.append(r)
+        row_upper.append(0.0)
     b0, b1 = float(box["b"][0]), float(box["b"][1])
     r = np.zeros(nv)
     r[0], r[2] = 1.0, -2.0 * b1 * (1 - b0)
-    A_ub.append(r)
-    b_ub.append(1.0)
+    A.append(r)
+    row_upper.append(1.0)
     r = np.zeros(nv)
     r[1], r[2] = 1 - b1, b1
-    A_ub.append(r)
-    b_ub.append(1.0)
+    A.append(r)
+    row_upper.append(1.0)
     r = np.zeros(nv)
     r[2], r[1] = 1.0, -1.0
-    A_ub.append(r)
-    b_ub.append(0.0)
-    A_eq = []
+    A.append(r)
+    row_upper.append(0.0)
+    row_lower = [-math.inf] * len(A)
     for i in (1, 2):
         r = np.zeros(nv)
         r[i] = 1.0
         for z, x, y in nlp.class_keys(m):
             r[idx[(z, i, x, y)]] = -1.0
-        A_eq.append(r)
-    c = np.zeros(nv)
-    c[0] = -1.0
-    return nlp.LpProblem(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                         A_eq=np.array(A_eq), b_eq=np.zeros(2),
-                         bounds=[(0.0, nlp.X_CAP)] + [(0.0, None)] * (nv - 1),
-                         var_names=var_names)
+        A.append(r)
+        row_lower.append(0.0)
+        row_upper.append(0.0)
+    lp = nlp.LpProblem(A=np.array(A), row_lower=np.array(row_lower),
+                       row_upper=np.array(row_upper),
+                       col_upper=np.array([nlp.X_CAP] + [math.inf] * (nv - 1)))
+    return lp, var_names
 
 
 def _dyadic(rng, lo, hi):
@@ -673,13 +681,12 @@ def test_relax_to_lp_bit_identical_to_per_chain_loop(name):
     model = BIT_MODELS[name]()
     boxes = _search_boxes(model, 13, 60)
     for box, got in zip(boxes, relax_to_lp(model, boxes)):
-        want = _reference_relax_to_lp(model, box)
-        for attr in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
+        want, columns = _reference_relax_to_lp(model, box)
+        for attr in ("A", "row_lower", "row_upper", "col_upper"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                 (name, attr, box)
-        assert got.bounds == want.bounds
-        assert got.var_names == want.var_names
+        assert nlp.lp_columns(model.m) == columns
 
 
 @pytest.mark.parametrize("name", list(BIT_MODELS))
@@ -699,17 +706,15 @@ def test_box_values_of_a_batch_equal_single_boxes(name):
 
 def test_direct_highs_reuse_across_models():
     """One solver fed LPs of two models in turn answers as fresh ones."""
-    core = pytest.importorskip("scipy.optimize._highspy._core")
-    shared = nlp._HighsSolver(core)
+    shared = nlp._HighsSolver()
     lps = []
     for table, g in SOLVER_MODELS:
         model = model_for_table(table, g)
         lps.append(relax_to_lp(model, _lp_boxes(model, 19, 10)))
     for pair in zip(*lps):
         for lp in pair:
-            got, want = shared(lp), nlp._HighsSolver(core)(lp)
+            got, want = shared(lp), nlp._HighsSolver()(lp)
             assert (got.status, got.value) == (want.status, want.value)
-            assert got.point == want.point
 
 
 @pytest.mark.parametrize("formula", ["min(b, 1)", "b * gA2", "0.5 * b",
