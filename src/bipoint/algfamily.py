@@ -23,17 +23,12 @@ from .instances import BiPointSolution, OpenSet, connection_cost_float
 from .partition import FacilityPartition, build_partition, build_stars, \
     class_aggregates, classify_clients
 from .rounding import star_round
-# G_M2 and G_M3 are re-exported: callers read them as algfamily.G_M2
-from .tables import CATALOGUE, G_M2, G_M3, builtin_tables, ratio, set_names
+# ChainSpec, G_M2 and G_M3 are re-exported: callers read them as
+# algfamily.ChainSpec
+from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _size_key, \
+    _structurally_valid, builtin_tables, set_names
 
 ONE = Fraction(1)
-OPEN = ratio((1, {}), (1, {}))  # the parameter of a fully opened set
-
-
-def _size_key(name: str) -> str:
-    # |A_t| = |B_t| by padding, both normalized by |C|
-    t = name[1:]
-    return f"gC{t}" if name[0] == "C" else f"gA{t}"
 
 
 def set_size(name: str, env) -> Fraction:
@@ -182,63 +177,6 @@ def enumerate_algm(m: int, env: dict) -> list:
 
 
 # --- chains -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """A start set opened fully plus an ordering that absorbs leftover mass."""
-
-    m: int
-    start: tuple  # m set names fixed to 1
-    order: tuple  # remaining 2m set names
-
-    def params(self) -> dict:
-        """Per-set probability formulas, truncated to [0,1]: each set of the
-        order takes (b + sum_t gA_t - sizes already placed) / its size."""
-        out = {}
-        rest = {"b": ONE, **{f"gA{t}": ONE for t in range(1, self.m + 1)}}
-        for W in self.start + self.order:
-            size = _size_key(W)
-            out[W] = OPEN if W in self.start else \
-                ratio((0, rest), (0, {size: 1}))
-            rest[size] = rest.get(size, 0) - 1
-        return {W: out[W] for W in set_names(self.m)}
-
-    def breakpoints_b(self, env: dict) -> list:
-        """b-values where some parameter formula hits 0 or 1 (gammas fixed)."""
-        gA = sum(env[f"gA{t}"] for t in range(1, self.m + 1))
-        pts = []
-        cum = sum(set_size(W, env) for W in self.start)
-        for W in self.order:
-            size = set_size(W, env)
-            if size > 0:
-                # (gA + b - cum)/size in {0, 1}
-                pts.extend([cum - gA, cum + size - gA])
-            cum += size
-        return sorted({p for p in pts if 0 < p < 1})
-
-    def label(self) -> str:
-        return f"start={{{','.join(self.start)}}} order=({','.join(self.order)})"
-
-
-def _structurally_valid(start, m: int) -> bool:
-    """Backup properties with only the start sets guaranteed open.
-
-    Opening more prefix sets along the ordering only helps, so checking the
-    start set alone covers every piece of the chain.
-    """
-    s = set(start)
-    if "A1" not in s and "B1" not in s:
-        return False
-    for t in range(1, m + 1):
-        if f"A{t}" in s:
-            continue
-        if all(f"B{u}" in s for u in range(1, t + 1)):
-            continue
-        if all(f"C{u}" in s for u in range(t, m + 1)):
-            continue
-        return False
-    return True
 
 
 def generate_chains(m: int) -> list:

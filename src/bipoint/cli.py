@@ -298,8 +298,10 @@ def cmd_round_sr(args) -> int:
 
 
 def cmd_bound_run(args) -> int:
-    model = nlp.model_for_table(table_for_m(args.m),
-                                [Fraction(g) for g in args.g])
+    table = table_for_m(args.m)
+    g = args.g if args.g is not None else \
+        [str(x) for x in CATALOGUE[table].g_inner]
+    model = nlp.model_for_table(table, [Fraction(x) for x in g])
     t0 = time.time()
     try:
         cert = nlp.branch_and_bound(
@@ -314,7 +316,7 @@ def cmd_bound_run(args) -> int:
         return 2
     report = {
         "m": args.m,
-        "g": [str(g) for g in args.g],
+        "g": g,
         "target": args.target,
         "status": cert.status,
         "boxes_processed": cert.boxes_processed,
@@ -490,8 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--tol", type=float, default=1e-6)
     bp.set_defaults(func=cmd_bound_point)
     br = bsub.add_parser("run")
-    br.add_argument("--m", type=int, choices=[2, 3], required=True)
-    br.add_argument("--g", nargs="+", required=True)
+    br.add_argument("--m", type=int, required=True,
+                    choices=sorted({t.m for t in CATALOGUE.values()}))
+    br.add_argument("--g", nargs="+",
+                    help="inner thresholds g_1..g_{m-1} (default: the "
+                    "table's own)")
     br.add_argument("--target", type=float, required=True)
     br.add_argument("--budget-boxes", type=int, default=None)
     br.add_argument("--checkpoint")

@@ -2,10 +2,22 @@
 ``CATALOGUE`` of each table's m and default thresholds, and ``LinFrac``, the
 exact form of every chain parameter.
 
-Each chain is a per-set parameter formula in the variables ``b``, ``gA2``,
-``gA3`` (level-set size ratios) and the derived ``gC2``, ``gC3``; every
-formula is implicitly truncated to [0, 1].  Set keys follow the partition
-order A_1..A_m, B_1..B_m, C_1..C_m.
+A chain opens a start set of m partition sets fully and lets the other 2m
+sets, in a fixed order, take up what is left of the mass b + sum_t gA_t,
+each as much as fits.  ``alg1``, ``alg2`` and ``alg3`` are lists of such
+(start, order) pairs, and ``ChainSpec.params`` is the one place that writes
+their parameters: each is (the mass left) / (the set's size), truncated to
+[0, 1], in the variables ``b``, ``gA1``..``gAm`` (level-set size ratios)
+and ``gC1``..``gCm``.  At m >= 2 the size of C_1 is written as
+1 - sum_{t>=2} gC_t, as the size recurrence gives it, and a parameter
+naming gA1 (no variable of the m >= 2 model) becomes the constant 0 where a
+sign rule shows its numerator is never positive.  ``ratio`` brings every
+parameter to the normal form clamp01(alpha + N/D) that encloses tightly.
+
+``uniform`` is the setting with all of F1 in A_2: its chains are valid
+only where the level-1 sets are empty (gA1 = 0), which no model states yet.
+Until one does, it keeps its rows of formula strings, which ``read_param``
+reads.  Set keys follow the partition order A_1..A_m, B_1..B_m, C_1..C_m.
 """
 
 from __future__ import annotations
@@ -185,108 +197,144 @@ def set_names(m: int) -> list:
             + [f"C{t}" for t in range(1, m + 1)])
 
 
-# m = 1: the five conditionally-valid single-level algorithms.
-TABLE_M1 = [
-    ("0", "1", "b"),
-    ("1", "0", "b"),
-    ("1", "1", "b - gA1"),
-    ("b / gA1", "1", "0"),
-    ("1", "b / gA1", "0"),
-]
+def _size_key(name: str) -> str:
+    # |A_t| = |B_t| by padding, both normalized by |C|
+    t = name[1:]
+    return f"gC{t}" if name[0] == "C" else f"gA{t}"
 
-# m = 2: the ten-chain family (parameters pA1, pA2, pB1, pB2, pC1, pC2).
-TABLE_M2 = [
-    ("1", "1", "0", "0", "(b - gC2) / (1 - gC2)", "b / gC2"),
-    ("0", "0", "1", "1", "(b - gC2) / (1 - gC2)", "b / gC2"),
-    ("1", "1", "0", "0", "b / (1 - gC2)", "(b + gC2 - 1) / gC2"),
-    ("0", "1", "1", "0", "b / (1 - gC2)", "(b + gC2 - 1) / gC2"),
-    ("0", "0", "1", "1", "b / (1 - gC2)", "(b + gC2 - 1) / gC2"),
-    ("1", "1", "0", "b / gA2", "(b - gA2) / (1 - gC2)", "0"),
-    ("0", "1", "1", "b / gA2", "(b - gA2) / (1 - gC2)", "0"),
-    ("0", "b / gA2", "1", "1", "(b - gA2 - gC2) / (1 - gC2)", "(b - gA2) / gC2"),
-    ("0", "0", "1", "(b + gA2 - 1) / gA2", "(b + gA2 - gC2) / (1 - gC2)",
-     "(b + gA2) / gC2"),
-    ("0", "(b + gA2 - gC2) / gA2", "1", "(b - gC2) / gA2",
-     "(b - gA2 - gC2) / (1 - gC2)", "1"),
-]
 
-# m = 3: the 29-chain family (pA1, pA2, pA3, pB1, pB2, pB3, pC1, pC2, pC3).
-TABLE_M3 = [
-    ("0", "0", "1", "1", "1", "(b - gC3) / gA3",
-     "(b - gA3 - gC3) / (1 - gC2 - gC3)", "(b + gC2 - 1 - gA3) / gC2",
-     "b / gC3"),
-    ("0", "(b + gA2 + gA3 - gC2 - gC3) / gA2", "(b + gA3 - 1 - gA2) / gA3",
-     "1", "(b + gA3 - 1) / gA2", "0",
-     "(b + gA3 - gC2 - gC3) / (1 - gC2 - gC3)", "1", "1"),
-    ("1", "1", "1", "0", "(b - gA3) / gA2", "b / gA3",
-     "(b - gA2 - gA3 - gC2 - gC3) / (1 - gC2 - gC3)",
-     "(b - gA2 - gA3 - gC3) / gC2", "(b - gA2 - gA3) / gC3"),
-    ("0", "1", "1", "1", "(b + gC2 - 1 - gA3) / gA2",
-     "(b + gC2 + gC3 - 1) / gA3", "b / (1 - gC2 - gC3)", "0",
-     "(b + gC2 + gC3 - 1 - gA3) / gC3"),
-    ("0", "(b - gA3 - gC3) / gA2", "b / gA3", "1", "1", "1",
-     "(b - gA2 - gA3 - gC2 - gC3) / (1 - gC2 - gC3)",
-     "(b - gA2 - gA3 - gC3) / gC2", "(b - gA3) / gC3"),
-    ("0", "(b - gC3) / gA2", "(b + gA3 - gC3) / gA3", "1", "1",
-     "(b - gA2 - gC3) / gA3",
-     "(b - gA2 - gA3 - gC3) / (1 - gC2 - gC3)", "0", "1"),
-    ("1", "1", "1", "0", "(b + gC2 + gC3 - 1) / gA2", "0",
-     "b / (1 - gC2 - gC3)", "(b + gC2 + gC3 - 1 - gA2) / gC2",
-     "(b + gC3 - 1 - gA2) / gC3"),
-    ("1", "1", "1", "0", "(b - gC2) / gA2", "(b - gA2 - gC2) / gA3",
-     "(b - gA2 - gA3 - gC2) / (1 - gC2 - gC3)", "b / gC2", "0"),
-    ("0", "1", "0", "1", "0", "(b + gA3 - 1) / gA3",
-     "(b + gA3 - gC3) / (1 - gC2 - gC3)", "(b + gA3 + gC2 - 1) / gC2", "1"),
-    ("0", "1", "1", "1", "0", "(b - gC2) / gA3",
-     "(b - gA3 - gC2 - gC3) / (1 - gC2 - gC3)", "b / gC2",
-     "(b - gA3 - gC2) / gC3"),
-    ("0", "(b + gC2 + gC3 - 1 - gA3) / gA2", "1", "1", "1", "b / gA3",
-     "(b - gA3) / (1 - gC2 - gC3)", "0", "0"),
-    ("1", "1", "1", "0", "(b - gA3 - gC2) / gA2", "(b - gC2) / gA3",
-     "(b - gA2 - gA3 - gC2 - gC3) / (1 - gC2 - gC3)", "b / gC2",
-     "(b - gA2 - gA3 - gC2) / gC3"),
-    ("0", "0", "0", "1", "1", "(b + gA3 - gC3) / gA3",
-     "(b - gC3) / (1 - gC2 - gC3)", "(b + gC2 - 1) / gC2", "1"),
-    ("1", "1", "1", "0", "0", "0", "(b - gC3) / (1 - gC2 - gC3)",
-     "(b + gC2 - 1) / gC2", "b / gC3"),
-    ("0", "0", "b / gA3", "1", "1", "1",
-     "(b - gA3 - gC2 - gC3) / (1 - gC2 - gC3)", "(b - gA3) / gC2",
-     "(b - gA3 - gC2) / gC3"),
-    ("1", "1", "1", "0", "0", "0",
-     "(b - gC2 - gC3) / (1 - gC2 - gC3)", "b / gC2", "(b - gC2) / gC3"),
-    ("0", "0", "0", "1", "(b + gA2 + gA3 - gC2 - gC3) / gA2",
-     "(b + gA3 - gC2 - gC3) / gA3",
-     "(b - gC2 - gC3) / (1 - gC2 - gC3)", "1", "1"),
-    ("0", "1", "1", "1", "b / gA2", "(b - gA2) / gA3",
-     "(b - gA2 - gA3) / (1 - gC2 - gC3)", "0", "0"),
-    ("0", "1", "1", "1", "(b + gC2 - 1) / gA2", "0",
-     "(b - gC3) / (1 - gC2 - gC3)", "0", "b / gC3"),
-    ("1", "1", "1", "0", "0", "(b + gC2 + gC3 - 1) / gA3",
-     "b / (1 - gC2 - gC3)", "(b + gC2 + gC3 - 1 - gA3) / gC2", "0"),
-    ("0", "0", "0", "1", "(b + gA2 + gA3 - 1) / gA2",
-     "(b + gA3 - 1) / gA3",
-     "(b + gA2 + gA3 - gC2 - gC3) / (1 - gC2 - gC3)", "1", "1"),
-    ("1", "1", "1", "0", "(b - gC3) / gA2", "0",
-     "(b - gA2 - gC3) / (1 - gC2 - gC3)", "0", "b / gC3"),
-    ("0", "(b + gC2 - 1 - gA3) / gA2", "(b + gC2 - 1) / gA3", "1", "1",
-     "1", "b / (1 - gC2 - gC3)", "0", "(b + gC2 + gC3 - 1) / gC3"),
-    ("0", "1", "1", "1", "(b + gC3 - 1) / gA2", "0",
-     "(b - gC2) / (1 - gC2 - gC3)", "b / gC2",
-     "(b + gC3 - 1 - gA2) / gC3"),
-    ("0", "(b + gA2 - gC2 - gC3) / gA2",
-     "(b + gA2 + gA3 - gC2 - gC3) / gA3", "1", "(b - gC2 - gC3) / gA2",
-     "0", "(b - gA2 - gC2 - gC3) / (1 - gC2 - gC3)", "1", "1"),
-    ("0", "0", "0", "1", "1", "1", "(b - gC2) / (1 - gC2 - gC3)",
-     "b / gC2", "(b + gC3 - 1) / gC3"),
-    ("1", "1", "1", "0", "0", "(b - gC2) / gA3",
-     "(b - gA3 - gC2) / (1 - gC2 - gC3)", "b / gC2", "0"),
-    ("0", "1", "1", "1", "(b - gA3) / gA2", "b / gA3",
-     "(b - gA2 - gA3 - gC3) / (1 - gC2 - gC3)", "0",
-     "(b - gA2 - gA3) / gC3"),
-    ("0", "0", "0", "1", "(b + gA2 - 1) / gA2",
-     "(b + gA2 + gA3 - gC2 - gC3) / gA3",
-     "(b + gA2 - gC2 - gC3) / (1 - gC2 - gC3)", "1", "1"),
-]
+def _size(name: str, m: int) -> tuple:
+    """The size of a set as an affine form (constant, {variable: coefficient}).
+
+    At m >= 2, C_1 is what the size recurrence leaves: 1 - sum_{t>=2} gC_t.
+    """
+    if name == "C1" and m > 1:
+        return 1, {f"gC{t}": -1 for t in range(2, m + 1)}
+    return 0, {_size_key(name): 1}
+
+
+def _never_positive(c0, coeffs: dict, m: int) -> bool:
+    """Whether c0 + sum coeffs[v] v <= 0 wherever 0 <= b <= 1, gA1 >= 0 and
+    0 <= gC_t <= gA_t (t >= 2), judged from the signs of the coefficients
+    alone.  A term in any other variable answers False."""
+    c = {v: x for v, x in coeffs.items() if x != 0}
+    known = {"b", "gA1"} | {f"g{z}{t}" for z in "AC" for t in range(2, m + 1)}
+    return (c.keys() <= known and c0 + max(c.get("b", 0), 0) <= 0
+            and c.get("gA1", 0) <= 0
+            and all(c.get(f"gA{t}", 0) + max(c.get(f"gC{t}", 0), 0) <= 0
+                    for t in range(2, m + 1)))
+
+
+OPEN = ratio((1, {}), (1, {}))  # a set opened fully
+SHUT = ratio((0, {}), (1, {}))  # a set left closed
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """A start set opened fully plus an ordering that absorbs leftover mass."""
+
+    m: int
+    start: tuple  # m set names fixed to 1
+    order: tuple  # remaining 2m set names
+
+    def params(self) -> dict:
+        """Per-set parameters, truncated to [0,1]: each set of the order
+        takes (b + sum_t gA_t - sizes already placed) / its size.
+
+        The m >= 2 model does not bound gA1.  A parameter naming it whose
+        numerator ``_never_positive`` shows to be <= 0, so that it is 0
+        wherever its set is nonempty, becomes the constant 0; any other
+        stays as it is, and ``nlp.compile_chains`` refuses it at m >= 2.
+        """
+        c0, rest = 0, {"b": 1, **{f"gA{t}": 1 for t in range(1, self.m + 1)}}
+        out = {}
+        for W in self.start + self.order:
+            s0, s = _size(W, self.m)
+            if W in self.start:
+                out[W] = OPEN
+            elif (rest["gA1"] or "gA1" in s) and \
+                    _never_positive(c0, rest, self.m):
+                out[W] = SHUT
+            else:
+                out[W] = ratio((c0, rest), (s0, s))
+            c0 -= s0
+            for v, c in s.items():
+                rest[v] = rest.get(v, 0) - c
+        return {W: out[W] for W in set_names(self.m)}
+
+    def breakpoints_b(self, env: dict) -> list:
+        """b-values where some parameter formula hits 0 or 1 (gammas fixed)."""
+        gA = sum(env[f"gA{t}"] for t in range(1, self.m + 1))
+        pts = []
+        cum = sum(env[_size_key(W)] for W in self.start)
+        for W in self.order:
+            size = env[_size_key(W)]
+            if size > 0:
+                # (gA + b - cum)/size in {0, 1}
+                pts.extend([cum - gA, cum + size - gA])
+            cum += size
+        return sorted({p for p in pts if 0 < p < 1})
+
+    def label(self) -> str:
+        return f"start={{{','.join(self.start)}}} order=({','.join(self.order)})"
+
+
+def _structurally_valid(start, m: int) -> bool:
+    """Backup properties with only the start sets guaranteed open.
+
+    Opening more prefix sets along the ordering only helps, so checking the
+    start set alone covers every piece of the chain.
+    """
+    s = set(start)
+    if "A1" not in s and "B1" not in s:
+        return False
+    for t in range(1, m + 1):
+        if f"A{t}" in s:
+            continue
+        if all(f"B{u}" in s for u in range(1, t + 1)):
+            continue
+        if all(f"C{u}" in s for u in range(t, m + 1)):
+            continue
+        return False
+    return True
+
+
+def _pairs(*chains) -> list:
+    """(start, order) tuples of set names from "start | order" strings."""
+    return [tuple(tuple(side.split()) for side in text.split("|"))
+            for text in chains]
+
+
+# m = 1: every structurally valid chain, in the order generate_chains(1)
+# finds them; each is valid on the whole domain.
+PAIRS_M1 = _pairs("A1 | B1 C1", "A1 | C1 B1", "B1 | A1 C1", "B1 | C1 A1")
+
+# m = 2: the ten-chain family.
+PAIRS_M2 = _pairs(
+    "A1 A2 | C2 C1 B1 B2", "B1 B2 | C2 C1 A1 A2", "A1 A2 | C1 C2 B1 B2",
+    "A2 B1 | C1 C2 A1 B2", "B1 B2 | C1 C2 A1 A2", "A1 A2 | B2 C1 B1 C2",
+    "A2 B1 | B2 C1 A1 C2", "B1 B2 | A2 C2 C1 A1", "B1 C2 | C1 B2 A1 A2",
+    "B1 C2 | A2 B2 C1 A1",
+)
+
+# m = 3: the 29-chain family.
+PAIRS_M3 = _pairs(
+    "A3 B1 B2 | C3 B3 C1 C2 A1 A2", "B1 C2 C3 | A2 C1 B2 A3 A1 B3",
+    "A1 A2 A3 | B3 B2 C3 C2 C1 B1", "A2 A3 B1 | C1 B3 C3 B2 A1 C2",
+    "B1 B2 B3 | A3 C3 A2 C2 C1 A1", "B1 B2 C3 | A3 A2 B3 C1 A1 C2",
+    "A1 A2 A3 | C1 B2 C2 C3 B1 B3", "A1 A2 A3 | C2 B2 B3 C1 B1 C3",
+    "A2 B1 C3 | C1 C2 B3 A1 A3 B2", "A2 A3 B1 | C2 B3 C3 C1 A1 B2",
+    "A3 B1 B2 | B3 C1 A2 A1 C2 C3", "A1 A2 A3 | C2 B3 B2 C3 C1 B1",
+    "B1 B2 C3 | B3 C1 C2 A1 A2 A3", "A1 A2 A3 | C3 C1 C2 B1 B2 B3",
+    "B1 B2 B3 | A3 C2 C3 C1 A1 A2", "A1 A2 A3 | C2 C3 C1 B1 B2 B3",
+    "B1 C2 C3 | B2 B3 C1 A1 A2 A3", "A2 A3 B1 | B2 B3 C1 A1 C2 C3",
+    "A2 A3 B1 | C3 C1 B2 A1 B3 C2", "A1 A2 A3 | C1 B3 C2 B1 B2 C3",
+    "B1 C2 C3 | C1 B2 B3 A1 A2 A3", "A1 A2 A3 | C3 B2 C1 B1 B3 C2",
+    "B1 B2 B3 | C1 C3 A3 A2 A1 C2", "A2 A3 B1 | C2 C1 B2 C3 A1 B3",
+    "B1 C2 C3 | A3 A2 B2 C1 A1 B3", "B1 B2 B3 | C2 C1 C3 A1 A2 A3",
+    "A1 A2 A3 | C2 B3 C1 B1 B2 C3", "A2 A3 B1 | B3 B2 C3 C1 A1 C2",
+    "B1 C2 C3 | B3 C1 B2 A1 A2 A3",
+)
 
 # Uniform-g setting (all of F1 in A_2, thresholds g_1 = g_hat, g_2 = g_hat + eps):
 # every valid algorithm over the nonempty sets {A_2, B_2, C_1, C_2}.
@@ -315,15 +363,16 @@ G_M3 = (Fraction(642, 1000), Fraction(833, 1000))
 
 class Table(NamedTuple):
     m: int  # levels of the hierarchy
-    rows: list  # one tuple of 3m formulas per chain, in set_names(m) order
+    # per chain: a (start, order) pair, or 3m formulas in set_names(m) order
+    rows: list
     g_inner: tuple  # default inner thresholds g_1..g_{m-1}
 
 
 # every built-in table, in the order best_of runs them
 CATALOGUE = {
-    "alg1": Table(1, TABLE_M1, ()),
-    "alg2": Table(2, TABLE_M2, G_M2),
-    "alg3": Table(3, TABLE_M3, G_M3),
+    "alg1": Table(1, PAIRS_M1, ()),
+    "alg2": Table(2, PAIRS_M2, G_M2),
+    "alg3": Table(3, PAIRS_M3, G_M3),
     "uniform": Table(2, TABLE_UNIFORM, G_M2),
 }
 
@@ -347,7 +396,10 @@ def builtin_tables() -> dict:
         names = set_names(m)
         chains = []
         for row in rows:
-            assert len(row) == 3 * m
-            chains.append({w: read_param(f) for w, f in zip(names, row)})
+            if len(row) == 2:  # (start, order)
+                chains.append(ChainSpec(m, *row).params())
+            else:
+                assert len(row) == 3 * m
+                chains.append({w: read_param(f) for w, f in zip(names, row)})
         out[name] = (m, chains)
     return out

@@ -288,7 +288,7 @@ def test_builtin_tables_shapes():
     tabs = builtin_tables()
     assert {n: m for n, (m, _) in tabs.items()} == \
         {"alg1": 1, "alg2": 2, "alg3": 3, "uniform": 2}
-    assert len(tabs["alg1"][1]) == 5
+    assert len(tabs["alg1"][1]) == 4
     assert len(tabs["alg2"][1]) == 10
     assert len(tabs["alg3"][1]) == 29
     assert len(tabs["uniform"][1]) == 14

@@ -178,6 +178,19 @@ def test_bound_run_shorthand(capsys, tmp_path):
     assert os.path.exists(cert)
 
 
+def test_bound_run_m1_and_default_thresholds(capsys):
+    # without --g a table runs at its own thresholds, none at m = 1
+    code, rep = run_json(capsys, "bound", "--m", "1", "--target", "1.37")
+    assert code == 0 and rep["status"] == "certified" and rep["g"] == []
+    # below the one-level factor (1 + sqrt(3))/2 ~ 1.36603 nothing certifies
+    code, rep = run_json(capsys, "bound", "--m", "1", "--target", "1.36",
+                         "--budget-boxes", "1000")
+    assert code == 1 and rep["status"] == "exhausted-budget"
+    code, rep = run_json(capsys, "bound", "--m", "2", "--target", "1.6",
+                         "--budget-boxes", "60")
+    assert code == 0 and rep["g"] == ["3293/5000"]
+
+
 def test_bound_shorthand_after_top_level_options(capsys, tmp_path):
     # the shorthand applies to the command token, after the global options
     report = tmp_path / "r.json"

@@ -31,7 +31,7 @@ from bipoint.nlp import (
     solve_lp,
 )
 from bipoint.exprs import EMPTY, iv
-from bipoint.tables import CATALOGUE, read_param, set_names
+from bipoint.tables import CATALOGUE, ChainSpec, read_param, set_names
 from reference_trees import as_tree, interval_env
 
 
@@ -726,24 +726,32 @@ def test_read_param_rejects_what_is_not_linear_fractional(formula):
 
 @pytest.mark.parametrize("formula,why", [
     ("b / gA1", "uses gA1"),
+    # a parameter naming gA1 that the sign rule of ChainSpec.params cannot
+    # fold to 0: B1 takes all of b, as b / gA1
+    pytest.param(
+        ChainSpec(2, ("A1", "A2"), ("B1", "C1", "C2", "B2")).params()["B1"],
+        "uses gA1", id="ChainSpec-B1"),
 ])
 def test_compile_rejects_what_it_cannot_enclose(formula, why):
     model = model_for_table("alg2", [0.6586])
-    chain = dict(model.chains[3], B2=read_param(formula))
+    param = read_param(formula) if isinstance(formula, str) else formula
+    chain = dict(model.chains[3], B2=param)
     bad = nlp.NlpModel(m=2, g_bounds=model.g_bounds,
                        chains=[model.chains[0], chain])
     with pytest.raises(ValueError, match=f"chain 1, set B2: .* {why}"):
         nlp.compile_chains(bad)
 
 
-# table: (inner thresholds, sha256 of its compiled coefficient arrays),
-# pinned when the parameters were still parsed into expression trees and
-# normalized by probing them
+# table: (inner thresholds, sha256 of its compiled coefficient arrays);
+# alg3 and uniform pinned when the parameters were still parsed into
+# expression trees and normalized by probing them, alg1 and alg2 when they
+# became ChainSpec chains (alg1 the four generated ones, alg2 opening the
+# C2 of chain 8 fully)
 PINNED_CHAIN_TABLES = {
-    "alg1": ([], "7ce597343faedf97f5ed0acc466a7746"
-                 "d18ad911a571e8f8bee6ae29640e152f"),
-    "alg2": ([0.6586], "2832970502693cdb40a26cf079fab1fe"
-                       "188f5da749de3f9799c09071f76ee6d8"),
+    "alg1": ([], "e26459f2a0194349e338c2e95bf612da"
+                 "fcdd91538d8fff1542b284fe73069176"),
+    "alg2": ([0.6586], "1e1e9b965b34aa59812eab9af5bd584f"
+                       "807e226d825fbbe820f760f540925416"),
     "alg3": ([0.642, 0.833], "834436fbffb392c84b41d039471ace08"
                              "42a59e0d4d5cc9509c468702853ad936"),
     "uniform": ([0.6586], "648157b88bf64648363160f924e3587b"
@@ -775,6 +783,16 @@ def test_m1_point_feasible():
     rep = evaluate_point(model, env, profile, X=target, tol=1e-6)
     assert rep.feasible, rep.violations
     assert abs(rep.objective - target) < 1e-9
+
+
+def test_m1_model_proves_no_factor_below_the_one_level_one():
+    """Every alg1 chain is valid on the whole m = 1 domain, so the model
+    cannot certify a ratio under (1+sqrt(3))/2 ~ 1.36603, the value of the
+    m1-feasible point; a target just above it still certifies."""
+    model = model_for_table("alg1", ())
+    cert = branch_and_bound(model, target=1.36, budget=1000)
+    assert cert.status != "certified" and cert.worst_value > 1.36
+    assert branch_and_bound(model, target=1.37).status == "certified"
 
 
 def test_evaluate_point_flags_violations():
