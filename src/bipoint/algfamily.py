@@ -28,7 +28,7 @@ from .rounding import star_round
 from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _size_key, \
     _structurally_valid, builtin_tables, set_names
 
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def set_size(name: str, env) -> Fraction:
@@ -136,44 +136,105 @@ def instantiate(params: dict, env: dict) -> dict:
 
 
 def canonical(values: dict, env: dict, m: int) -> tuple:
-    """Hashable exact form of a parameter vector, ignoring empty sets."""
-    out = []
-    for W in set_names(m):
-        if set_size(W, env) > 0:
-            v = values[W]
-            out.append((W, Fraction(v) if not isinstance(v, Fraction) else v))
-    return tuple(out)
+    """Hashable exact form of a parameter vector: its values in
+    ``set_names(m)`` order as ``Fraction``s, with None for an empty set and
+    the shared ``ZERO`` and ``ONE`` for 0 and 1."""
+    return tuple(None if set_size(W, env) <= 0 else _exact(values[W])
+                 for W in set_names(m))
+
+
+def _exact(v) -> Fraction:
+    if v == 0:
+        return ZERO
+    if v == 1:
+        return ONE
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _scaled(env: dict) -> tuple:
+    """``(L, {variable: value * L})`` for a point of exact rationals, L the
+    least common denominator of its values: all Python integers."""
+    L = math.lcm(*(x.denominator for x in env.values()))
+    return L, {v: x.numerator * (L // x.denominator) for v, x in env.items()}
+
+
+def _guards(size: list, m: int) -> list:
+    """The backup and A1-or-B1 rules of ``is_valid`` at a point whose set
+    sizes, in ``set_names(m)`` order, are ``size``: one triple (a, b, c) of
+    bit masks over those positions per rule that applies.  A vector whose
+    fully open sets have the bits ``ones`` keeps a rule when ``ones``
+    covers a, b or c in full.  Empty sets enter no mask.
+    """
+    def bits(positions):
+        return sum(1 << w for w in positions if size[w] > 0)
+
+    # level t + 1: A_{t+1} open, or every B_s (s <= t + 1), or every C_s
+    # (s >= t + 1)
+    guards = [(1 << t, bits(range(m, m + t + 1)), bits(range(2 * m + t, 3 * m)))
+              for t in range(m) if size[t] > 0]
+    if size[0] > 0:  # |B_1| = |A_1|
+        guards.append((1, 1 << m, 1 << m))
+    return guards
+
+
+def _backed_up(ones: int, guards: list) -> bool:
+    """Whether the fully open sets ``ones`` keep every rule of ``guards``."""
+    return all(ones & a == a or ones & b == b or ones & c == c
+               for a, b, c in guards)
 
 
 def enumerate_algm(m: int, env: dict) -> list:
-    """All valid parameter vectors with at most one fractional entry.
+    """All valid parameter vectors with at most one fractional entry, as
+    dicts of ``Fraction``s in ``set_names(m)`` order.
 
-    The fractional entry, when present, is solved from the mass equation
-    with every other parameter fixed to 0 or 1.  Exact rationals throughout;
-    deduplicated on the canonical form.
+    The 0/1 patterns over the sets are walked in ``itertools.product``
+    order.  A pattern is kept when its mass is the target; the fractional
+    entry of a variant, on a nonempty set, is solved from the mass equation
+    with every other entry fixed.  A vector is kept the first time its
+    ``canonical`` form comes up.  The point, of exact rationals with no
+    negative set size, is scaled to one common denominator, so sizes and
+    masses are Python integers and the guards of ``is_valid`` at tol 0 are
+    bit-mask tests.
     """
     names = set_names(m)
-    sizes = {W: Fraction(set_size(W, env)) for W in names}
-    T = Fraction(mass_target(env, m))
-    seen = {}
+    _, e = _scaled(env)
+    size = [e[_size_key(W)] for W in names]
+    target = e["b"] + sum(size[:m])
+    guards = _guards(size, m)
+    live = [w for w, s in enumerate(size) if s > 0]
+    live_bits = sum(1 << w for w in live)
+    # (ones, mass) per 0/1 pattern, names[0] the slowest-changing bit
+    patterns = [(0, 0)]
+    for w, s in enumerate(size):
+        patterns = [(ones | bit << w, mass + bit * s)
+                    for ones, mass in patterns for bit in (0, 1)]
+    seen = {}  # canonical key -> the vector, or False if it is invalid
+    shared = {}  # one Fraction object per fractional value of the call
 
-    def consider(values):
-        rep = is_valid(values, env, m, tol=0)
-        if rep.ok:
-            seen.setdefault(canonical(values, env, m), dict(values))
+    def vector(kept, frac):
+        values = dict(zip(names, (ONE if kept >> w & 1 else ZERO
+                                  for w in range(len(names)))))
+        if frac:
+            w, num = frac
+            x = Fraction(num, size[w])
+            values[names[w]] = shared.setdefault(x, x)
+        return values
 
-    for bits in itertools.product((Fraction(0), ONE), repeat=len(names)):
-        values = dict(zip(names, bits))
-        if sum(values[W] * sizes[W] for W in names) == T:
-            consider(values)
-        for v_idx, V in enumerate(names):
-            if sizes[V] == 0:
-                continue
-            rest = sum(values[W] * sizes[W] for W in names if W != V)
-            pv = (T - rest) / sizes[V]
-            if 0 <= pv <= 1:
-                consider({**values, V: pv})
-    return list(seen.values())
+    for ones, mass in patterns:
+        # the pattern, then each variant: (fully open sets, fractional
+        # entry as (position, entry times size) or None)
+        found = [(ones, None)] if mass == target else []
+        for w in live:
+            s = size[w]
+            frac = target - (mass - s if ones >> w & 1 else mass)
+            if 0 <= frac <= s:
+                kept = ones | 1 << w if frac == s else ones & ~(1 << w)
+                found.append((kept, (w, frac) if 0 < frac < s else None))
+        for kept, frac in found:
+            key = (kept & live_bits, frac)
+            if key not in seen:
+                seen[key] = _backed_up(kept, guards) and vector(kept, frac)
+    return [values for values in seen.values() if values]
 
 
 # --- chains -----------------------------------------------------------------
@@ -200,31 +261,41 @@ def generate_chains(m: int) -> list:
 def greedy_cover(chains: list, universe: list) -> list:
     """Smallest-first greedy set cover of sampled valid parameter vectors.
 
-    ``universe`` is a list of (env, canonical_vector) pairs; a chain covers a
-    pair when its instantiation at env matches the vector on nonempty sets.
-    Pairs sharing one env object are compared against one instantiation of
-    each chain there.
+    ``universe`` is a list of (env, canonical vector) pairs, each vector
+    valid at its env as ``enumerate_algm`` gives them; a chain covers a pair
+    when its ``canonical`` form at env is the vector.  The chains are
+    compiled into one ``ChainKernel``, evaluated once per env object, and
+    only the chains it reports valid there are compared: a chain whose
+    values equal a valid vector is itself valid.  Each parameter becomes a
+    ``Fraction`` at most once per env.
     """
     m = chains[0].m if chains else 0
-    by_env = {}  # id(env) -> (env, indices of its pairs)
-    for idx, (env, _) in enumerate(universe):
-        by_env.setdefault(id(env), (env, []))[1].append(idx)
-    covers = [set() for _ in chains]
-    for chain, got in zip(chains, covers):
-        params = chain.params()
-        for env, idxs in by_env.values():
-            form = canonical(instantiate(params, env), env, m)
-            got.update(idx for idx in idxs if universe[idx][1] == form)
-    uncovered = set(range(len(universe)))
+    names = set_names(m)
+    kernel = ChainKernel(m, [chain.params() for chain in chains])
+    by_env = {}  # id(env) -> (env, {vector: bit mask of its pairs})
+    for idx, (env, vec) in enumerate(universe):
+        pairs = by_env.setdefault(id(env), (env, {}))[1]
+        pairs[vec] = pairs.get(vec, 0) | 1 << idx
+    covers = [0] * len(chains)  # bit mask of the pairs each chain covers
+    for env, pairs in by_env.values():
+        values, valid = kernel.evaluate(env)
+        live = [set_size(W, env) > 0 for W in names]
+        used = {j for ci in valid for j in kernel.rows[ci]}
+        exact = {j: _fraction(values[j]) for j in used}
+        for ci in valid:
+            form = tuple(exact[j] if alive else None
+                         for j, alive in zip(kernel.rows[ci], live))
+            covers[ci] |= pairs.get(form, 0)
+    uncovered = (1 << len(universe)) - 1
     picked = []
     while uncovered:
         best = max(range(len(chains)),
-                   key=lambda i: (len(covers[i] & uncovered), -i))
+                   key=lambda i: ((covers[i] & uncovered).bit_count(), -i))
         gain = covers[best] & uncovered
         if not gain:
             break
         picked.append(chains[best])
-        uncovered -= gain
+        uncovered &= ~gain
     return picked
 
 
@@ -324,8 +395,7 @@ class ChainKernel:
         D > 0, or None where its denominator is 0 (an empty set); ``valid``
         lists, in order, the chains that ``is_valid`` accepts there.
         """
-        L = math.lcm(*(x.denominator for x in env.values()))
-        e = {v: x.numerator * (L // x.denominator) for v, x in env.items()}
+        L, e = _scaled(env)
         values = []
         for p0, p, q0, q in self.forms:
             den = q0 * L
@@ -346,15 +416,7 @@ class ChainKernel:
         size = [e[_size_key(W)] for W in set_names(m)]  # scaled by L
         nonempty = [(w, s) for w, s in enumerate(size) if s > 0]
         target = e["b"] + sum(size[:m])
-        # backup at each level t with A_t nonempty: A_t open, or every
-        # nonempty B_s (s <= t), or every nonempty C_s (s >= t), as bits
-        guards = [(1 << (t - 1),
-                   sum(1 << (m + s - 1) for s in range(1, t + 1)
-                       if size[m + s - 1]),
-                   sum(1 << (2 * m + s - 1) for s in range(t, m + 1)
-                       if size[2 * m + s - 1]))
-                  for t in range(1, m + 1) if size[t - 1]]
-        a1_or_b1 = (1 | 1 << m) if size[0] else 0
+        guards = _guards(size, m)
         valid = []
         for ci, row in enumerate(self.rows):
             ones, num, den = 0, 0, 1  # mass so far is num / den
@@ -370,12 +432,17 @@ class ChainKernel:
                     num = num * d + n * s * den
                     den *= d
             else:
-                if num == target * den and \
-                        all(ones & a or ones & b == b or ones & c == c
-                            for a, b, c in guards) and \
-                        (ones & a1_or_b1 or not a1_or_b1):
+                if num == target * den and _backed_up(ones, guards):
                     valid.append(ci)
         return values, valid
+
+
+def _fraction(v):
+    """A clamped ``ChainKernel`` value as a ``Fraction``, 0 and 1 as the
+    shared ``ZERO`` and ``ONE``; None stays None."""
+    if v is None:
+        return None
+    return ZERO if v is _ZERO else ONE if v is _ONE else Fraction(*v)
 
 
 @lru_cache(maxsize=None)

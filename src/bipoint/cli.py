@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -99,6 +98,9 @@ def _validate_schema(data, name: str) -> None:
 
 
 def _file_hash(path: str) -> str:
+    # imported here: hashlib maps OpenSSL, a few MB in every process
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

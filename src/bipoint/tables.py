@@ -191,10 +191,11 @@ def read_param(text: str) -> LinFrac:
     return ratio(_affine_of(sides[0], text), den)
 
 
-def set_names(m: int) -> list:
-    return ([f"A{t}" for t in range(1, m + 1)]
-            + [f"B{t}" for t in range(1, m + 1)]
-            + [f"C{t}" for t in range(1, m + 1)])
+@lru_cache(maxsize=None)
+def set_names(m: int) -> tuple:
+    """The partition set names A_1..A_m, B_1..B_m, C_1..C_m, one tuple of
+    strings per m that every caller shares."""
+    return tuple(f"{z}{t}" for z in "ABC" for t in range(1, m + 1))
 
 
 def _size_key(name: str) -> str:
@@ -229,7 +230,7 @@ OPEN = ratio((1, {}), (1, {}))  # a set opened fully
 SHUT = ratio((0, {}), (1, {}))  # a set left closed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSpec:
     """A start set opened fully plus an ordering that absorbs leftover mass."""
 

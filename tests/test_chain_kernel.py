@@ -1,5 +1,7 @@
-"""The exact chain kernel behind ``run_chains`` and ``best_of`` against the
-per-chain ``instantiate`` + ``is_valid`` + ``execute`` loop it replaces."""
+"""The exact chain kernel behind ``run_chains``, ``best_of`` and
+``greedy_cover`` against the per-chain ``instantiate`` + ``is_valid`` +
+``execute`` loop it replaces; the integer ``enumerate_algm`` against the
+per-vector ``Fraction`` one."""
 
 import itertools
 import os
@@ -9,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bipoint
 from bipoint import algfamily
@@ -21,7 +25,11 @@ from bipoint.algfamily import (
     build_partition,
     build_stars,
     builtin_kernels,
+    canonical,
     derive_gamma_env,
+    enumerate_algm,
+    generate_chains,
+    greedy_cover,
     instantiate,
     is_valid,
     param_env,
@@ -191,13 +199,25 @@ def test_empty_records_are_falsy():
     assert not algfamily.Records(("SR",), [], [], [])
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    """Commands that solve no LP do not pay for loading scipy.optimize."""
+def cli_import_leaves_out(*modules):
+    """Whether ``import bipoint.cli`` in a fresh interpreter leaves every
+    one of ``modules`` unloaded."""
     src = os.path.dirname(os.path.dirname(bipoint.__file__))
-    code = "import sys, bipoint.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, bipoint.cli; "
+            f"sys.exit(any(m in sys.modules for m in {modules!r}))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert proc.returncode == 0
+    return proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """Commands that solve no LP do not pay for loading scipy.optimize."""
+    assert cli_import_leaves_out("scipy.optimize")
+
+
+def test_cli_import_leaves_hashlib_out():
+    """Commands that hash no file do not pay for mapping OpenSSL."""
+    assert cli_import_leaves_out("hashlib", "_hashlib")
 
 
 def test_client_arrays_cost_bit_identical():
@@ -215,3 +235,68 @@ def test_client_arrays_cost_bit_identical():
         u = np.array([float(inst.demand(j)) for j in inst.clients])
         assert connection_cost_float(inst, fac) == \
             float((u * sub.min(axis=1)).sum())
+
+
+# --- enumeration and cover ---------------------------------------------------
+
+
+def assert_same_vectors(got, want):
+    """The same dicts in the same order, key order and value types too."""
+    assert got == want
+    assert [[(W, type(v)) for W, v in d.items()] for d in got] == \
+        [[(W, type(v)) for W, v in d.items()] for d in want]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_enumerate_matches_per_vector_loop(m):
+    envs = grid_envs(m)[:{1: 36, 2: 60, 3: 12}[m]]
+    n = 0
+    for env in envs:
+        got = enumerate_algm(m, env)
+        assert_same_vectors(got, reference_chains.enumerate_algm(m, env))
+        n += len(got)
+    assert n > len(envs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.fractions(min_value=0, max_value=1, max_denominator=60),
+       st.lists(st.fractions(min_value=0, max_value=2, max_denominator=60),
+                min_size=3, max_size=3))
+def test_enumerate_matches_per_vector_loop_anywhere(m, b, gAs):
+    env = derive_gamma_env(b, gAs[:m])
+    assert_same_vectors(enumerate_algm(m, env),
+                        reference_chains.enumerate_algm(m, env))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_greedy_cover_matches_per_chain_loop(m):
+    """The same cover, chain for chain, on seeded universes with empty sets
+    and with the pairs of each env scattered through the list."""
+    chains = generate_chains(m)
+    for seed in range(4):
+        rng = random.Random(seed)
+        envs = [derive_gamma_env(F(rng.randrange(1, 20), 20),
+                                 [F(rng.randrange(0, 40), 20)
+                                  for _ in range(m)]) for _ in range(10)]
+        new = [(env, canonical(v, env, m)) for env in envs
+               for v in enumerate_algm(m, env)]
+        old = [(env, reference_chains.canonical_pairs(v, env, m))
+               for env in envs for v in reference_chains.enumerate_algm(m, env)]
+        order = list(range(len(new)))
+        rng.shuffle(order)
+        new, old = [new[i] for i in order], [old[i] for i in order]
+        got = greedy_cover(chains, new)
+        assert got and [c.label() for c in got] == \
+            [c.label() for c in reference_chains.greedy_cover(chains, old)]
+
+
+def test_canonical_is_flat_and_shares_names_and_constants():
+    env = derive_gamma_env(F(1, 2), [F(0), F(3, 4)])  # A1 and B1 empty
+    values = {"A1": None, "A2": 1, "B1": F(1, 2), "B2": F(1, 3),
+              "C1": F(0), "C2": 1.0}
+    form = canonical(values, env, 2)
+    assert form == (None, 1, None, F(1, 3), 0, 1)
+    assert form[1] is form[5] is algfamily.ONE
+    assert form[4] is algfamily.ZERO and form[3] is values["B2"]
+    assert set_names(2) is set_names(2)
