@@ -25,8 +25,8 @@ from .partition import FacilityPartition, build_partition, build_stars, \
 from .rounding import star_round
 # ChainSpec, G_M2 and G_M3 are re-exported: callers read them as
 # algfamily.ChainSpec
-from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _size_key, \
-    _structurally_valid, builtin_tables, set_names
+from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _backed_up, _guards, \
+    _size_key, _structurally_valid, builtin_tables, set_names
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -156,31 +156,6 @@ def _scaled(env: dict) -> tuple:
     least common denominator of its values: all Python integers."""
     L = math.lcm(*(x.denominator for x in env.values()))
     return L, {v: x.numerator * (L // x.denominator) for v, x in env.items()}
-
-
-def _guards(size: list, m: int) -> list:
-    """The backup and A1-or-B1 rules of ``is_valid`` at a point whose set
-    sizes, in ``set_names(m)`` order, are ``size``: one triple (a, b, c) of
-    bit masks over those positions per rule that applies.  A vector whose
-    fully open sets have the bits ``ones`` keeps a rule when ``ones``
-    covers a, b or c in full.  Empty sets enter no mask.
-    """
-    def bits(positions):
-        return sum(1 << w for w in positions if size[w] > 0)
-
-    # level t + 1: A_{t+1} open, or every B_s (s <= t + 1), or every C_s
-    # (s >= t + 1)
-    guards = [(1 << t, bits(range(m, m + t + 1)), bits(range(2 * m + t, 3 * m)))
-              for t in range(m) if size[t] > 0]
-    if size[0] > 0:  # |B_1| = |A_1|
-        guards.append((1, 1 << m, 1 << m))
-    return guards
-
-
-def _backed_up(ones: int, guards: list) -> bool:
-    """Whether the fully open sets ``ones`` keep every rule of ``guards``."""
-    return all(ones & a == a or ones & b == b or ones & c == c
-               for a, b, c in guards)
 
 
 def enumerate_algm(m: int, env: dict) -> list:

@@ -185,6 +185,10 @@ def cmd_alg_enumerate(args) -> int:
     if len(gAs) != args.m:
         print(f"need {args.m} gamma values", file=sys.stderr)
         return 2
+    if not 0 <= args.b <= 1:
+        raise ValueError(f"--b must lie in [0, 1], got {args.b}")
+    if min(gAs) < 0:
+        raise ValueError(f"--gamma values must be >= 0, got {min(gAs)}")
     env = algfamily.derive_gamma_env(Fraction(args.b), gAs)
     specs = algfamily.enumerate_algm(args.m, env)
     report = {
@@ -431,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=["json", "csv"], default="json")
     top.add_argument("--out", help="write the report to a file")
     sub = top.add_subparsers(dest="command", required=True)
+    levels = sorted({t.m for t in CATALOGUE.values()})  # the m of some table
 
     gap = sub.add_parser("gap", help="golden gap-instance family")
     gsub = gap.add_subparsers(dest="mode", required=True)
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--gamma", type=_frac, nargs="+", required=True)
     a.set_defaults(func=cmd_alg_enumerate)
     a = asub.add_parser("chains")
-    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--m", type=int, required=True, choices=levels)
     a.add_argument("--greedy", action="store_true")
     a.add_argument("--iterative", action="store_true")
     a.add_argument("--samples", type=int, default=40)
@@ -494,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--tol", type=float, default=1e-6)
     bp.set_defaults(func=cmd_bound_point)
     br = bsub.add_parser("run")
-    br.add_argument("--m", type=int, required=True,
-                    choices=sorted({t.m for t in CATALOGUE.values()}))
+    br.add_argument("--m", type=int, required=True, choices=levels)
     br.add_argument("--g", nargs="+",
                     help="inner thresholds g_1..g_{m-1} (default: the "
                     "table's own)")

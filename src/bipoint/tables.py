@@ -2,28 +2,26 @@
 ``CATALOGUE`` of each table's m and default thresholds, and ``LinFrac``, the
 exact form of every chain parameter.
 
-A chain opens a start set of m partition sets fully and lets the other 2m
-sets, in a fixed order, take up what is left of the mass b + sum_t gA_t,
-each as much as fits.  ``alg1``, ``alg2`` and ``alg3`` are lists of such
-(start, order) pairs, and ``ChainSpec.params`` is the one place that writes
-their parameters: each is (the mass left) / (the set's size), truncated to
-[0, 1], in the variables ``b``, ``gA1``..``gAm`` (level-set size ratios)
-and ``gC1``..``gCm``.  At m >= 2 the size of C_1 is written as
-1 - sum_{t>=2} gC_t, as the size recurrence gives it, and a parameter
-naming gA1 (no variable of the m >= 2 model) becomes the constant 0 where a
-sign rule shows its numerator is never positive.  ``ratio`` brings every
-parameter to the normal form clamp01(alpha + N/D) that encloses tightly.
-
-``uniform`` is the setting with all of F1 in A_2: its chains are valid
-only where the level-1 sets are empty (gA1 = 0), which no model states yet.
-Until one does, it keeps its rows of formula strings, which ``read_param``
-reads.  Set keys follow the partition order A_1..A_m, B_1..B_m, C_1..C_m.
+A chain opens a start set fully and lets the sets of its order, in turn,
+take up what is left of the mass b + sum_t gA_t, each as much as fits.
+Every built-in table is a list of such (start, order) pairs, and
+``ChainSpec.params`` is the one place that writes their parameters: each is
+(the mass left) / (the set's size), truncated to [0, 1], in the variables
+``b``, ``gA1``..``gAm`` (level-set size ratios) and ``gC1``..``gCm``.  A
+set the chain does not place takes 0, and a level whose A_t and B_t it does
+not place is empty in its setting, so gA_t is no part of the mass.  At
+m >= 2 the size of C_1 is written as 1 - sum_{t>=2} gC_t, as the size
+recurrence gives it, and a parameter naming gA1 (no variable of the m >= 2
+model) becomes the constant 0 where a sign rule shows its numerator is
+never positive.  ``ratio`` brings every parameter to the normal form
+clamp01(alpha + N/D) that encloses tightly.  ``_guards`` is the exact
+backup rule, as bit masks, for chains and vectors alike.  Set keys follow
+the partition order A_1..A_m, B_1..B_m, C_1..C_m.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,39 +156,6 @@ def ratio(num: tuple, den: tuple) -> LinFrac:
     return LinFrac(alpha, n0 - alpha * d0, _terms(rest), d0, _terms(d))
 
 
-_ATOM = r"\d+|[A-Za-z_]\w*"
-_AFFINE = re.compile(rf"[+-]?\s*(?:{_ATOM})(?:\s*[+-]\s*(?:{_ATOM}))*")
-_TERM = re.compile(rf"([+-]?)\s*({_ATOM})")
-
-
-def _affine_of(side: str, text: str) -> tuple:
-    body = side.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].strip()
-    if not _AFFINE.fullmatch(body):
-        raise ValueError(f"{text!r} is not affine or affine / affine "
-                         "(integer constants and +-variables only)")
-    const, coeffs = 0, {}
-    for sign, atom in _TERM.findall(body):
-        c = -1 if sign == "-" else 1
-        if atom.isdigit():
-            const += c * int(atom)
-        else:
-            coeffs[atom] = coeffs.get(atom, 0) + c
-    return const, coeffs
-
-
-def read_param(text: str) -> LinFrac:
-    """The ``LinFrac`` of a table formula: ``affine`` or ``affine / affine``,
-    each side optionally in parentheses.  Raises ValueError naming the text
-    for anything else."""
-    sides = text.split("/")
-    if len(sides) > 2:
-        raise ValueError(f"{text!r} has more than one quotient")
-    den = _affine_of(sides[1], text) if len(sides) == 2 else (1, {})
-    return ratio(_affine_of(sides[0], text), den)
-
-
 @lru_cache(maxsize=None)
 def set_names(m: int) -> tuple:
     """The partition set names A_1..A_m, B_1..B_m, C_1..C_m, one tuple of
@@ -235,25 +200,33 @@ class ChainSpec:
     """A start set opened fully plus an ordering that absorbs leftover mass."""
 
     m: int
-    start: tuple  # m set names fixed to 1
-    order: tuple  # remaining 2m set names
+    start: tuple  # set names fixed to 1
+    order: tuple  # set names that take up the rest of the mass, in turn
+
+    def levels(self) -> list:
+        """The levels whose A_t or B_t the chain places: the gA_t of the
+        mass b + sum_t gA_t.  Any other level is empty in its setting."""
+        placed = self.start + self.order
+        return [t for t in range(1, self.m + 1)
+                if f"A{t}" in placed or f"B{t}" in placed]
 
     def params(self) -> dict:
         """Per-set parameters, truncated to [0,1]: each set of the order
-        takes (b + sum_t gA_t - sizes already placed) / its size.
+        takes (b + sum_t gA_t over ``levels`` - sizes already placed) / its
+        size, and a set the chain does not place takes 0.
 
         The m >= 2 model does not bound gA1.  A parameter naming it whose
         numerator ``_never_positive`` shows to be <= 0, so that it is 0
         wherever its set is nonempty, becomes the constant 0; any other
         stays as it is, and ``nlp.compile_chains`` refuses it at m >= 2.
         """
-        c0, rest = 0, {"b": 1, **{f"gA{t}": 1 for t in range(1, self.m + 1)}}
+        c0, rest = 0, {"b": 1, **{f"gA{t}": 1 for t in self.levels()}}
         out = {}
         for W in self.start + self.order:
             s0, s = _size(W, self.m)
             if W in self.start:
                 out[W] = OPEN
-            elif (rest["gA1"] or "gA1" in s) and \
+            elif (rest.get("gA1") or "gA1" in s) and \
                     _never_positive(c0, rest, self.m):
                 out[W] = SHUT
             else:
@@ -261,11 +234,11 @@ class ChainSpec:
             c0 -= s0
             for v, c in s.items():
                 rest[v] = rest.get(v, 0) - c
-        return {W: out[W] for W in set_names(self.m)}
+        return {W: out.get(W, SHUT) for W in set_names(self.m)}
 
     def breakpoints_b(self, env: dict) -> list:
         """b-values where some parameter formula hits 0 or 1 (gammas fixed)."""
-        gA = sum(env[f"gA{t}"] for t in range(1, self.m + 1))
+        gA = sum(env[f"gA{t}"] for t in self.levels())
         pts = []
         cum = sum(env[_size_key(W)] for W in self.start)
         for W in self.order:
@@ -280,24 +253,41 @@ class ChainSpec:
         return f"start={{{','.join(self.start)}}} order=({','.join(self.order)})"
 
 
+def _guards(size: list, m: int) -> list:
+    """The backup and A1-or-B1 rules of ``algfamily.is_valid`` at a point
+    whose set sizes, in ``set_names(m)`` order, are ``size``: one triple
+    (a, b, c) of bit masks over those positions per rule that applies.  A
+    vector whose fully open sets have the bits ``ones`` keeps a rule when
+    ``ones`` covers a, b or c in full.  Empty sets enter no mask.
+    """
+    def bits(positions):
+        return sum(1 << w for w in positions if size[w] > 0)
+
+    # level t + 1: A_{t+1} open, or every B_s (s <= t + 1), or every C_s
+    # (s >= t + 1)
+    guards = [(1 << t, bits(range(m, m + t + 1)), bits(range(2 * m + t, 3 * m)))
+              for t in range(m) if size[t] > 0]
+    if size[0] > 0:  # |B_1| = |A_1|
+        guards.append((1, 1 << m, 1 << m))
+    return guards
+
+
+def _backed_up(ones: int, guards: list) -> bool:
+    """Whether the fully open sets ``ones`` keep every rule of ``guards``."""
+    return all(ones & a == a or ones & b == b or ones & c == c
+               for a, b, c in guards)
+
+
 def _structurally_valid(start, m: int) -> bool:
-    """Backup properties with only the start sets guaranteed open.
+    """Whether the start sets alone keep the backup rules where every set
+    is nonempty.
 
     Opening more prefix sets along the ordering only helps, so checking the
     start set alone covers every piece of the chain.
     """
-    s = set(start)
-    if "A1" not in s and "B1" not in s:
-        return False
-    for t in range(1, m + 1):
-        if f"A{t}" in s:
-            continue
-        if all(f"B{u}" in s for u in range(1, t + 1)):
-            continue
-        if all(f"C{u}" in s for u in range(t, m + 1)):
-            continue
-        return False
-    return True
+    names = set_names(m)
+    return _backed_up(sum(1 << names.index(W) for W in start),
+                      _guards([1] * 3 * m, m))
 
 
 def _pairs(*chains) -> list:
@@ -338,24 +328,14 @@ PAIRS_M3 = _pairs(
 )
 
 # Uniform-g setting (all of F1 in A_2, thresholds g_1 = g_hat, g_2 = g_hat + eps):
-# every valid algorithm over the nonempty sets {A_2, B_2, C_1, C_2}.
-TABLE_UNIFORM = [
-    ("0", "0", "0", "1", "b / (1 - gC2)", "(b + gC2 - 1) / gC2"),
-    ("0", "0", "0", "(b + gA2 - 1) / gA2", "(b + gA2 - gC2) / (1 - gC2)", "1"),
-    ("0", "0", "0", "(b + gA2 - gC2) / gA2", "(b - gC2) / (1 - gC2)", "1"),
-    ("0", "1", "0", "0", "b / (1 - gC2)", "(b + gC2 - 1) / gC2"),
-    ("0", "1", "0", "(b + gC2 - 1) / gA2", "b / (1 - gC2)", "0"),
-    ("0", "1", "0", "b / gA2", "(b - gA2) / (1 - gC2)", "0"),
-    ("0", "1", "0", "b / gA2", "(b - gA2 - gC2) / (1 - gC2)", "(b - gA2) / gC2"),
-    ("0", "1", "0", "(b - gC2) / gA2", "(b - gA2 - gC2) / (1 - gC2)", "b / gC2"),
-    ("0", "(b + gA2 - 1) / gA2", "0", "0", "(b + gA2 - gC2) / (1 - gC2)", "1"),
-    ("0", "(b + gC2 - 1) / gA2", "0", "1", "b / (1 - gC2)", "0"),
-    ("0", "b / gA2", "0", "1", "(b - gA2) / (1 - gC2)", "0"),
-    ("0", "(b + gA2 - gC2) / gA2", "0", "0", "(b - gC2) / (1 - gC2)", "1"),
-    ("0", "(b - gC2) / gA2", "0", "1", "(b - gA2 - gC2) / (1 - gC2)", "b / gC2"),
-    ("0", "(b - gC2) / gA2", "0", "(b + gA2 - gC2) / gA2",
-     "(b - gA2 - gC2) / (1 - gC2)", "1"),
-]
+# every valid algorithm over the nonempty sets {A_2, B_2, C_1, C_2}.  No
+# pair places A_1 or B_1: level 1 is empty.
+PAIRS_UNIFORM = _pairs(
+    "B2 | C1 C2", "C2 | C1 B2", "C2 | B2 C1", "A2 | C1 C2", "A2 | C1 B2",
+    "A2 | B2 C1", "A2 | B2 C2 C1", "A2 | C2 B2 C1", "C2 | C1 A2",
+    "B2 | C1 A2", "B2 | A2 C1", "C2 | A2 C1", "B2 | C2 A2 C1",
+    "C2 | B2 A2 C1",
+)
 
 # default g-thresholds for the two- and three-level hierarchies
 G_M2 = (Fraction(6586, 10000),)
@@ -364,8 +344,7 @@ G_M3 = (Fraction(642, 1000), Fraction(833, 1000))
 
 class Table(NamedTuple):
     m: int  # levels of the hierarchy
-    # per chain: a (start, order) pair, or 3m formulas in set_names(m) order
-    rows: list
+    rows: list  # per chain: a (start, order) pair
     g_inner: tuple  # default inner thresholds g_1..g_{m-1}
 
 
@@ -374,7 +353,7 @@ CATALOGUE = {
     "alg1": Table(1, PAIRS_M1, ()),
     "alg2": Table(2, PAIRS_M2, G_M2),
     "alg3": Table(3, PAIRS_M3, G_M3),
-    "uniform": Table(2, TABLE_UNIFORM, G_M2),
+    "uniform": Table(2, PAIRS_UNIFORM, G_M2),
 }
 
 
@@ -392,15 +371,5 @@ def builtin_tables() -> dict:
 
     Returns {name: (m, [chain dict set_name -> LinFrac])}.
     """
-    out = {}
-    for name, (m, rows, _) in CATALOGUE.items():
-        names = set_names(m)
-        chains = []
-        for row in rows:
-            if len(row) == 2:  # (start, order)
-                chains.append(ChainSpec(m, *row).params())
-            else:
-                assert len(row) == 3 * m
-                chains.append({w: read_param(f) for w, f in zip(names, row)})
-        out[name] = (m, chains)
-    return out
+    return {name: (m, [ChainSpec(m, *pair).params() for pair in rows])
+            for name, (m, rows, _) in CATALOGUE.items()}

@@ -159,6 +159,8 @@ def test_generate_chains_counts():
     assert len(chains2) == 120
     labels = {c.label() for c in chains2}
     assert len(labels) == len(chains2)
+    # the gA1 parameters that fold to 0 make formula duplicates at m = 3
+    assert len(generate_chains(3)) == 5616
 
 
 def test_breakpoints_are_transition_points():

@@ -76,6 +76,31 @@ def test_alg_enumerate(capsys):
     assert code == 2  # wrong number of gammas
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--m", "1", "--b", "1/2", "--gamma", "-1"],
+     "--gamma values must be >= 0, got -1"),
+    (["--m", "1", "--b", "3/2", "--gamma", "1/2"],
+     "--b must lie in [0, 1], got 3/2"),
+    (["--m", "2", "--b=-1/4", "--gamma", "1/2", "1/2"],
+     "--b must lie in [0, 1], got -1/4"),
+], ids=["negative-gamma", "b-above-1", "b-below-0"])
+def test_alg_enumerate_refuses_points_outside_the_domain(capsys, argv,
+                                                        message):
+    code = main(["alg", "enumerate", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("m", ["0", "4"])
+def test_alg_chains_takes_the_levels_of_a_table(capsys, m):
+    # --m 0 crashed in greedy_cover; --m 4 walked ~20 M orders
+    with pytest.raises(SystemExit) as exc:
+        main(["alg", "chains", "--m", m, "--greedy"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_alg_chains_iterative(capsys):
     code, rep = run_json(capsys, "alg", "chains", "--m", "1", "--iterative")
     assert code == 0 and rep["iterative"] >= 1

@@ -26,7 +26,7 @@ from bipoint.exprs import (
     isub,
     iv,
 )
-from bipoint.tables import read_param
+from reference_tables import read_param
 
 INF = math.inf
 

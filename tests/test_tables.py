@@ -1,17 +1,21 @@
-"""The built-in chain tables: the (start, order) pairs of alg1-alg3 against
-the formula rows they replace, and the validity of every chain they make."""
+"""The built-in chain tables: their (start, order) pairs against the
+formula rows they replace, the validity of every chain they make, and the
+one exact backup rule."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from bipoint.algfamily import canonical, derive_gamma_env, generate_chains, \
     instantiate, is_valid
-from bipoint.tables import CATALOGUE, OPEN, ChainSpec, builtin_tables, \
-    read_param, set_names
+from bipoint.tables import CATALOGUE, OPEN, ChainSpec, _backed_up, _guards, \
+    _structurally_valid, builtin_tables, set_names
 
 import reference_tables
+from reference_tables import read_param
 
 F = Fraction
 
@@ -37,8 +41,11 @@ def typed_chains(rows, m):
             for row in rows]
 
 
-@pytest.mark.parametrize("name,rows", [("alg2", reference_tables.TABLE_M2),
-                                       ("alg3", reference_tables.TABLE_M3)])
+@pytest.mark.parametrize("name,rows", [
+    ("alg2", reference_tables.TABLE_M2),
+    ("alg3", reference_tables.TABLE_M3),
+    ("uniform", reference_tables.TABLE_UNIFORM),
+])
 def test_pairs_give_the_typed_parameters(name, rows):
     m, chains = builtin_tables()[name]
     want = typed_chains(rows, m)
@@ -97,3 +104,80 @@ def test_every_chain_is_valid_everywhere(m):
         for ci, params in enumerate(chains):
             rep = is_valid(instantiate(params, env), env, m, tol=0)
             assert rep.ok, (m, ci, env, rep.violations)
+
+
+@pytest.mark.parametrize("formula", ["min(b, 1)", "b * gA2", "0.5 * b",
+                                     "b / gA2 / gA2"])
+def test_read_param_rejects_what_is_not_linear_fractional(formula):
+    with pytest.raises(ValueError, match=re.escape(repr(formula))):
+        read_param(formula)
+
+
+def test_uniform_is_valid_exactly_where_level_1_is_empty():
+    """No uniform pair places A1 or B1, so its chains leave gA1 out of the
+    mass: each is valid at every point with gA1 = 0 and at none with
+    gA1 > 0."""
+    chains = builtin_tables()["uniform"][1]
+    points = exact_points(2, 400, 5)
+    empty = [dict(env, gA1=F(0)) for env in points]
+    filled = [env if env["gA1"] > 0 else dict(env, gA1=F(1, 7))
+              for env in points]
+    for env in empty:
+        for ci, params in enumerate(chains):
+            rep = is_valid(instantiate(params, env), env, 2, tol=0)
+            assert rep.ok, (ci, env, rep.violations)
+    for env in filled:
+        for ci, params in enumerate(chains):
+            assert not is_valid(instantiate(params, env), env, 2, tol=0).ok, \
+                (ci, env)
+
+
+def test_uniform_breakpoints_leave_gA1_out():
+    """breakpoints_b takes the mass params uses: at gA1 > 0, some parameter
+    of a uniform chain reaches 0 or 1 at each breakpoint."""
+    env = derive_gamma_env(F(1, 2), [F(1, 5), F(1, 3)])
+    eps = F(1, 1000)
+    found = 0
+    for start, order in CATALOGUE["uniform"].rows:
+        chain = ChainSpec(2, start, order)
+        for p in chain.breakpoints_b(env):
+            pinned = [{W for W, v in instantiate(chain.params(),
+                                                 dict(env, b=b)).items()
+                       if v in (0, 1)} for b in (p - eps, p + eps)]
+            assert pinned[0] != pinned[1], (chain.label(), p)
+            found += 1
+    assert found >= 14
+
+
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_every_start_keeps_the_backup_rules_of_its_setting(name):
+    """The start sets of each pair keep the rules of ``_guards`` where the
+    sets of the levels the pair does not place are empty."""
+    m = CATALOGUE[name].m
+    names = set_names(m)
+    for start, order in CATALOGUE[name].rows:
+        levels = ChainSpec(m, start, order).levels()
+        size = [0 if W[0] in "AB" and int(W[1:]) not in levels else 1
+                for W in names]
+        ones = sum(1 << names.index(W) for W in start)
+        assert _backed_up(ones, _guards(size, m)), (name, start, order)
+
+
+def _old_structural_rule(start, m):
+    """The backup rule as it was spelled by set names: A1 or B1 open, and
+    at each level t, A_t open, or every B_s (s <= t), or every C_s
+    (s >= t)."""
+    s = set(start)
+    if "A1" not in s and "B1" not in s:
+        return False
+    return all(f"A{t}" in s or all(f"B{u}" in s for u in range(1, t + 1))
+               or all(f"C{u}" in s for u in range(t, m + 1))
+               for t in range(1, m + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_structurally_valid_is_the_old_rule(m):
+    starts = list(itertools.combinations(set_names(m), m))
+    got = [_structurally_valid(start, m) for start in starts]
+    assert got == [_old_structural_rule(start, m) for start in starts]
+    assert any(got) and not all(got)
