@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -428,8 +429,19 @@ def cmd_suite(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the negative-number rule of Python 3.13: a token that
+    starts with "-" and a digit, such as the fraction -1/2, is a value, not
+    an option.  Older versions take only -N and -N.N for numbers.  Every
+    subparser inherits the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bipoint",
         description="bi-point rounding algorithms for k-median")
     top.add_argument("--format", choices=["json", "csv"], default="json")

@@ -420,24 +420,55 @@ def verify_gap_identities() -> dict:
 
 
 SCAN_CHUNK = 512  # subsets costed per vectorized block
+GROUP = 8  # facilities per nearest-distance table
+MAX_FACILITIES = 63  # a subset's bit mask is one int64
+
+
+def _nearest_tables(rows) -> list:
+    """One table per group of GROUP consecutive columns of ``rows``: row s
+    of a group's table holds each client's distance to the nearest facility
+    of the subset s (a bit mask) of that group, and row 0 is inf."""
+    tables = []
+    for lo in range(0, rows.shape[1], GROUP):
+        group = rows[:, lo:lo + GROUP].T
+        t = np.empty((2 ** len(group), rows.shape[0]))
+        t[0] = np.inf
+        for b, col in enumerate(group):
+            np.minimum(t[:2 ** b], col, out=t[2 ** b:2 ** (b + 1)])
+        tables.append(t)
+    return tables
+
+
+def _block_costs(block, tables, u):
+    """Float cost of each facility index tuple of ``block``: its bit mask
+    picks one row of each group's table, and the minimum of those rows is
+    its per-client distance, weighted by the demands ``u``."""
+    # at most MAX_FACILITIES columns, so every index fits in a byte
+    cols = np.frombuffer(b"".join(map(bytes, block)), np.uint8)
+    mask = (1 << cols.astype(np.int64)).reshape(len(block), -1).sum(axis=1)
+    low = 2 ** GROUP - 1
+    near = tables[0][mask & low]
+    for g, t in enumerate(tables[1:], 1):
+        np.minimum(near, t[(mask >> (GROUP * g)) & low], out=near)
+    # near is (block, clients) in C order, the memory order a column-by-
+    # column scan of rows builds, so the float costs match it bit for bit
+    return u @ near.T
 
 
 def _scan_combos(combos, rows, u):
-    """Cheapest of an iterable of facility index tuples, as (float cost,
-    tuple), with the first strict minimum winning ties.  Blocks of subsets
-    are costed at once: each subset's per-client distance is a running
-    minimum over its columns of ``rows``, weighted by the demands ``u``."""
+    """Cheapest of an iterable of facility index tuples (columns of
+    ``rows``), as (float cost, tuple), with the first strict minimum winning
+    ties.  The tables are built per call and the subsets costed in blocks of
+    SCAN_CHUNK."""
+    if rows.shape[1] > MAX_FACILITIES:
+        raise ValueError(f"{rows.shape[1]} facilities: the scan takes at "
+                         f"most {MAX_FACILITIES}")
+    tables = _nearest_tables(rows)
     best_cost = math.inf
     best_subset = None
     combos = iter(combos)
     while block := list(itertools.islice(combos, SCAN_CHUNK)):
-        k = len(block[0])
-        cols = np.fromiter(itertools.chain.from_iterable(block), np.intp,
-                           count=len(block) * k).reshape(len(block), k).T
-        near = rows[:, cols[0]]
-        for col in cols[1:]:
-            np.minimum(near, rows[:, col], out=near)
-        costs = u @ near
+        costs = _block_costs(block, tables, u)
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost, best_subset = float(costs[i]), block[i]
@@ -449,8 +480,8 @@ def brute_force_opt(inst: MetricInstance, budget: int = None,
     """Exact optimum over all k-subsets of the facilities.
 
     The float scan finds the argmin; the winner is re-costed in exact
-    arithmetic.  The scan runs on one thread: ``jobs`` is accepted for old
-    callers and must be 1.
+    arithmetic.  The scan takes at most MAX_FACILITIES facilities and runs
+    on one thread: ``jobs`` is accepted for old callers and must be 1.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs}: the scan runs on one thread")
@@ -461,11 +492,9 @@ def brute_force_opt(inst: MetricInstance, budget: int = None,
         raise ValueError(f"{total} subsets exceed the budget {budget}")
     if total == 0:
         raise ValueError(f"no {k}-subset of {len(fac)} facilities")
-    D = inst.dist_array()
-    u = np.array([float(inst.demand(j)) for j in inst.clients])
-    rows = D[np.ix_(inst.clients, fac)]
+    rows, u = inst.client_arrays()
     _, best_subset = _scan_combos(itertools.combinations(range(len(fac)), k),
-                                  rows, u)
+                                  rows[:, fac], u)
     chosen = frozenset(fac[i] for i in best_subset)
     exact = connection_cost(inst, OpenSet(chosen))
     return OpenSet(chosen), exact

@@ -83,7 +83,13 @@ def test_alg_enumerate(capsys):
      "--b must lie in [0, 1], got 3/2"),
     (["--m", "2", "--b=-1/4", "--gamma", "1/2", "1/2"],
      "--b must lie in [0, 1], got -1/4"),
-], ids=["negative-gamma", "b-above-1", "b-below-0"])
+    # argparse before 3.13 read a separate -1/2 as an option
+    (["--m", "1", "--b", "-1/2", "--gamma", "1/2"],
+     "--b must lie in [0, 1], got -1/2"),
+    (["--m", "2", "--b", "1/2", "--gamma", "1/2", "-1/3"],
+     "--gamma values must be >= 0, got -1/3"),
+], ids=["negative-gamma", "b-above-1", "b-below-0", "b-fraction-below-0",
+        "negative-gamma-fraction"])
 def test_alg_enumerate_refuses_points_outside_the_domain(capsys, argv,
                                                         message):
     code = main(["alg", "enumerate", *argv])

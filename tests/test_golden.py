@@ -37,7 +37,11 @@ from bipoint.golden import (
     rational_vertex_bound,
     verify_gap_identities,
 )
-from bipoint.instances import connection_cost, validate_bipoint
+from bipoint.instances import (
+    MetricInstance,
+    connection_cost,
+    validate_bipoint,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -229,6 +233,82 @@ def test_scan_combos_exhausts_a_generator():
     cost, best = golden._scan_combos(gen(), rows, np.ones(4))
     assert done == [True]
     assert best == (0, 1, 2) and cost == float(rows[:, 0].sum())
+
+
+def _column_scan_costs(combos, rows, u):
+    """The reference scan, column by column: per block of SCAN_CHUNK
+    subsets, a running minimum over each subset's columns of ``rows``;
+    yields (block, float costs)."""
+    combos = iter(combos)
+    while block := list(itertools.islice(combos, golden.SCAN_CHUNK)):
+        k = len(block[0])
+        cols = np.fromiter(itertools.chain.from_iterable(block), np.intp,
+                           count=len(block) * k).reshape(len(block), k).T
+        near = rows[:, cols[0]]
+        for col in cols[1:]:
+            np.minimum(near, rows[:, col], out=near)
+        yield block, u @ near
+
+
+def _column_scan(combos, rows, u):
+    best_cost, best_subset = math.inf, None
+    for block, costs in _column_scan_costs(combos, rows, u):
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost, best_subset = float(costs[i]), block[i]
+    return best_cost, best_subset
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_grouped_tables_cost_golden_subsets_bit_for_bit(k):
+    inst = build_golden(k).instance
+    fac = sorted(inst.facilities)
+    rows, u = inst.client_arrays()
+    rows = rows[:, fac]
+    tables = golden._nearest_tables(rows)
+    combos = list(itertools.combinations(range(len(fac)), k))
+    for block, want in _column_scan_costs(combos, rows, u):
+        got = golden._block_costs(block, tables, u)
+        assert got.tobytes() == want.tobytes(), (k, block[0])
+    got = golden._scan_combos(iter(combos), rows, u)
+    assert got == _column_scan(combos, rows, u)
+    assert math.isfinite(got[0])
+
+
+@pytest.mark.parametrize("n,k", [
+    (n, k) for n in (1, 7, 8, 9, 16, 17, 63) for k in sorted({1, 2, 3, n})
+    if k <= n])
+def test_scan_combos_matches_the_column_scan_at_group_edges(n, k):
+    """Integer distances with some inf entries, on either side of every
+    table boundary (8 facilities a group, at most 63 in all)."""
+    rng = random.Random(100 * n + k)
+    rows = np.array([[math.inf if rng.random() < 0.1 else rng.randrange(20)
+                      for _ in range(n)] for _ in range(11)])
+    u = np.array([rng.randrange(1, 4) for _ in range(11)], dtype=float)
+    combos = list(itertools.combinations(range(n), k))
+    assert golden._scan_combos(iter(combos), rows, u) == \
+        _column_scan(combos, rows, u)
+
+
+def test_scan_refuses_64_facilities():
+    rows = np.ones((3, 64))
+    with pytest.raises(ValueError, match="at most 63"):
+        golden._scan_combos(itertools.combinations(range(64), 1), rows,
+                            np.ones(3))
+    # one client and 64 facilities at distance 1 from it
+    dist = [[Fraction(int(i != j)) for j in range(65)] for i in range(65)]
+    inst = MetricInstance(n_points=65, dist=dist, clients=[0],
+                          facilities=list(range(1, 65)), k=1)
+    with pytest.raises(ValueError, match="at most 63"):
+        brute_force_opt(inst)
+
+
+@pytest.mark.parametrize("k,opt", [
+    (11, Fraction(887455705, 701408733)),
+    (12, Fraction(4210297891, 3507043665))])
+def test_brute_force_optimum_pinned(k, opt):
+    _, cost = brute_force_opt(build_golden(k).instance)
+    assert cost == opt
 
 
 def test_build_golden_point_cap():
