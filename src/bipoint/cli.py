@@ -38,6 +38,13 @@ def _frac(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _emit(report, args) -> None:
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
@@ -304,12 +311,18 @@ def cmd_round_sr(args) -> int:
 # --- bound ------------------------------------------------------------------
 
 
-def cmd_bound_run(args) -> int:
+def _bound_model(args) -> tuple:
+    """The thresholds ``bound run`` and ``bound replay`` name, as strings,
+    and the model of the table for ``--m`` at them."""
     table = table_for_m(args.m)
     g = args.g if args.g is not None else \
         [str(x) for x in CATALOGUE[table].g_inner]
-    model = nlp.model_for_table(table, [Fraction(x) for x in g])
-    t0 = time.time()
+    return g, nlp.model_for_table(table, [Fraction(x) for x in g])
+
+
+def cmd_bound_run(args) -> int:
+    g, model = _bound_model(args)
+    t0 = time.perf_counter()
     try:
         cert = nlp.branch_and_bound(
             model, target=args.target, budget=args.budget_boxes,
@@ -331,10 +344,22 @@ def cmd_bound_run(args) -> int:
         "worst_box": cert.worst_box,
         "worst_value": cert.worst_value,
         "certificate": cert.certificate_path,
-        "seconds": round(time.time() - t0, 3),
+        "lp_solves": cert.lp_solves,
+        "enclose_s": round(cert.enclose_s, 3),
+        "solve_s": round(cert.solve_s, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }
     _emit(report, args)
     return 0 if cert.status == "certified" else 1
+
+
+def cmd_bound_replay(args) -> int:
+    _, model = _bound_model(args)
+    valid = nlp.replay_certificate(model, args.certificate, args.target)
+    with open(args.certificate) as fh:
+        leaves = sum(1 for line in fh if line.strip())
+    _emit({"valid": valid, "leaves": leaves}, args)
+    return 0 if valid else 1
 
 
 def _point_model(data: dict) -> tuple:
@@ -440,6 +465,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+def _add_model_flags(p, levels) -> None:
+    """The model and target flags ``bound run`` and ``bound replay`` share."""
+    p.add_argument("--m", type=int, required=True, choices=levels)
+    p.add_argument("--g", nargs="+",
+                   help="inner thresholds g_1..g_{m-1} (default: the "
+                   "table's own)")
+    p.add_argument("--target", type=float, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="bipoint",
@@ -511,17 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--tol", type=float, default=1e-6)
     bp.set_defaults(func=cmd_bound_point)
     br = bsub.add_parser("run")
-    br.add_argument("--m", type=int, required=True, choices=levels)
-    br.add_argument("--g", nargs="+",
-                    help="inner thresholds g_1..g_{m-1} (default: the "
-                    "table's own)")
-    br.add_argument("--target", type=float, required=True)
-    br.add_argument("--budget-boxes", type=int, default=None)
+    _add_model_flags(br, levels)
+    br.add_argument("--budget-boxes", type=_positive_int, default=None)
     br.add_argument("--checkpoint")
     br.add_argument("--resume", action="store_true")
     br.add_argument("--certificate")
     br.add_argument("--verbose", action="store_true")
     br.set_defaults(func=cmd_bound_run)
+    rp = bsub.add_parser("replay", help="re-check a certificate: exit 0 if "
+                         "it proves the target, 1 if not")
+    _add_model_flags(rp, levels)
+    rp.add_argument("--certificate", required=True)
+    rp.set_defaults(func=cmd_bound_replay)
 
     st = sub.add_parser("suite", help="Monte Carlo end-to-end ratios")
     st.add_argument("--instances", type=int, default=10)
@@ -548,7 +583,8 @@ def main(argv=None) -> int:
     while i < len(argv) and argv[i].startswith("-"):
         i += 1 if "=" in argv[i] or argv[i] in ("-h", "--help") else 2
     if argv[i:i + 1] == ["bound"] and \
-            argv[i + 1:i + 2] not in (["point"], ["run"], ["-h"], ["--help"]):
+            argv[i + 1:i + 2] not in (["point"], ["run"], ["replay"], ["-h"],
+                                      ["--help"]):
         argv.insert(i + 1, "run")
     args = parser.parse_args(argv)
     try:

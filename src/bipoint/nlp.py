@@ -20,9 +20,11 @@ import itertools
 import json
 import math
 import os
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,6 +133,11 @@ class ChainTable:
     const: np.ndarray  # (2, chains, sets)
     coef: np.ndarray  # (variables, 2, chains, sets)
 
+    @cached_property
+    def terms(self) -> "EnclosureTerms":
+        """``compile_terms(self)``, computed on first use."""
+        return compile_terms(self)
+
 
 def compile_chains(model: NlpModel) -> ChainTable:
     """The model's chain parameters as a ``ChainTable``.
@@ -164,9 +171,51 @@ def compile_chains(model: NlpModel) -> ChainTable:
     return ChainTable(names=names, alpha=alpha, const=const, coef=coef)
 
 
-def _times(a, b):
-    """a * b element-wise with 0 * inf = 0, as ``exprs._mul``."""
-    return np.where((a == 0) | (b == 0), 0.0, a * b)
+@dataclass
+class EnclosureTerms:
+    """A ``ChainTable`` laid out for ``chain_bounds``.
+
+    Chains share many parameters, so only the distinct ones are enclosed:
+    parameter (chain, set), in row-major order, is distinct parameter
+    ``inverse[chain * sets + set]``.  Their sums are accumulated in a flat
+    array over (end, side, distinct parameter): end 0 is the low end and 1
+    the high end, side 0 is N and 1 is D.  Only the nonzero terms are kept,
+    each twice, once per end, and ``dest`` is the sum a term goes to.  The
+    values of the box variables are read from one array over (end,
+    variable), so a term's ``source`` picks the end its coefficient's sign
+    calls for: the low end of c * v is c * lo where c > 0 and c * hi where
+    c < 0.  Each sum meets its terms in ``names`` order.
+    """
+
+    source: np.ndarray  # (terms,) index into the (end, variable) values
+    coef: np.ndarray  # (terms,)
+    dest: np.ndarray  # (terms,) index into the sums
+    const: np.ndarray  # (2 * 2 * distinct,) the constant of each sum
+    alpha: np.ndarray  # (distinct,)
+    inverse: np.ndarray  # (chains * sets,) the distinct parameter of each
+
+
+def compile_terms(table: ChainTable) -> EnclosureTerms:
+    """The ``EnclosureTerms`` of ``table``."""
+    nv = len(table.names)
+    params = np.concatenate([table.alpha.reshape(1, -1),
+                             table.const.reshape(2, -1),
+                             table.coef.reshape(2 * nv, -1)])
+    distinct, inverse = np.unique(params.T, axis=0, return_inverse=True)
+    # (variable, side and distinct parameter); np.nonzero walks it in
+    # variable order
+    coef = np.ascontiguousarray(distinct[:, 3:].T).reshape(nv, -1)
+    var, col = np.nonzero(coef)
+    c = coef[var, col]
+    up = c > 0
+    # the low-end copy of every term, then its high-end one
+    return EnclosureTerms(
+        source=np.concatenate([np.where(up, var, var + nv),
+                               np.where(up, var + nv, var)]),
+        coef=np.concatenate([c, c]),
+        dest=np.concatenate([col, col + coef.shape[1]]),
+        const=np.tile(distinct[:, 1:3].T.ravel(), 2), alpha=distinct[:, 0],
+        inverse=inverse.reshape(-1))
 
 
 def chain_bounds(table: ChainTable, env: dict) -> tuple:
@@ -176,56 +225,72 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
 
     Element by element this repeats the float operations of ``Expr.box`` on
     the parameter written as an expression tree, so the bounds are the same
-    bit for bit: the
-    affine terms are added in ``names`` order and then the constant, the
-    quotient follows ``exprs.idiv``, and then come + alpha and the clamp to
-    [0, 1].  A parameter whose denominator is 0 on the whole box and whose
-    numerator is not (the parameter of an empty set) gets (1, 0), which
-    zeroes every occurrence of p and of 1 - p.
+    bit for bit: the affine terms are added in ``names`` order and then the
+    constant (a zero term adds nothing, so only the nonzero ones are
+    added), the quotient follows ``exprs.idiv``, and then come + alpha and
+    the clamp to [0, 1].  A parameter whose denominator is 0 on the whole
+    box and whose numerator is not (the parameter of an empty set) gets
+    (1, 0), which zeroes every occurrence of p and of 1 - p.
     """
+    t = table.terms
+    ends = np.array([env[v][0] for v in table.names]
+                    + [env[v][1] for v in table.names], dtype=float)
+    boxes = ends.shape[1:]
+    values = ends.reshape(len(ends), -1).T  # (box, end and variable)
+    n, size = len(values), len(t.const)
+    terms = values[:, t.source] * t.coef
+    # bincount adds each box's terms into their sums one by one, in order,
+    # starting from 0
+    at = t.dest + size * np.arange(n)[:, np.newaxis]
+    sums = np.bincount(at.ravel(), terms.ravel(), n * size).reshape(n, size)
+    sums += t.const
+    sums = sums.reshape(n, 2, 2, -1)  # (box, end, side, parameter)
+    x, y = sums[:, :, 0], sums[:, :, 1]
+    q = np.empty((2, n, x.shape[-1]))  # (end, box, parameter)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # values (variables, *boxes, 1, 1, 1) against coefficients
-        # (variables, 1, .., 1, 2, chains, sets)
-        boxes = np.shape(env["gC1"][0])
-        shape = (len(table.names),) + boxes + (1, 1, 1)
-        coef = np.expand_dims(table.coef, tuple(range(1, len(boxes) + 1)))
-        v_lo = np.reshape(
-            np.array([env[v][0] for v in table.names], dtype=float), shape)
-        v_hi = np.reshape(
-            np.array([env[v][1] for v in table.names], dtype=float), shape)
-        # a term's low end is coef * lo where coef > 0, else coef * hi
-        up = coef > 0
-        term_lo = _times(coef, np.where(up, v_lo, v_hi))
-        term_hi = _times(coef, np.where(up, v_hi, v_lo))
-        lo = np.zeros(term_lo.shape[1:])
-        hi = np.zeros(term_hi.shape[1:])
-        for tl, th in zip(term_lo, term_hi):
-            lo += tl
-            hi += th
-        (xl, yl), (xh, yh) = (np.moveaxis(lo + table.const, -3, 0),
-                              np.moveaxis(hi + table.const, -3, 0))
-
-        # y away from 0: x * [1/yh, 1/yl]
-        il, ih = 1.0 / yh, 1.0 / yl
-        ps = (_times(xl, il), _times(xl, ih), _times(xh, il), _times(xh, ih))
-        nonzero = (yl > 0) | (yh < 0)
-        q_lo = np.where(nonzero, np.minimum.reduce(ps), -math.inf)
-        q_hi = np.where(nonzero, np.maximum.reduce(ps), math.inf)
-        # y touching 0 on one side only: one end stays finite
-        above = (yl == 0) & (yh > 0)
-        below = (yh == 0) & (yl < 0)
-        x_pos, x_neg = xl > 0, xh < 0
-        q_lo = np.where(above & x_pos, xl / yh, q_lo)
-        q_hi = np.where(above & x_neg, xh / yh, q_hi)
-        q_hi = np.where(below & x_pos, xl / yl, q_hi)
-        q_lo = np.where(below & x_neg, xh / yl, q_lo)
-        empty = (yl == 0) & (yh == 0) & (x_pos | x_neg)
-
-    p0, p1 = _clamp01(q_lo + table.alpha), _clamp01(q_hi + table.alpha)
-    return np.where(empty, 1.0, p0), np.where(empty, 0.0, p1)
+        # y away from 0: x * [1/yh, 1/yl].  exprs._mul takes 0 * inf as 0;
+        # here that product is nan, which fmin and fmax skip, with the same
+        # bounds: a nan needs an infinite end of x and of y, and the other
+        # end of x is either finite, giving the 0 with that end of y, or
+        # infinite too, so the other end of y gives -inf and inf.  (A 0 of
+        # either sign is the same once alpha is added.)
+        ps = x[:, :, np.newaxis] * (1.0 / y[:, np.newaxis, ::-1])
+        np.fmin.reduce(ps, axis=(1, 2), out=q[0])
+        np.fmax.reduce(ps, axis=(1, 2), out=q[1])
+        yl, yh = y[:, 0], y[:, 1]
+        touch = (yl <= 0) & (yh >= 0)
+        touching = touch.any()
+        if touching:
+            empty = _touching_zero(x[:, 0], x[:, 1], yl, yh, touch, q)
+    q += t.alpha
+    np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
+    if touching:
+        q[0][empty] = 1.0
+        q[1][empty] = 0.0
+    p = q.take(t.inverse, axis=-1)
+    shape = boxes + table.alpha.shape
+    return p[0].reshape(shape), p[1].reshape(shape)
 
 
-def threshold_floats(g_bounds) -> list:
+def _touching_zero(xl, xh, yl, yh, touch, q) -> np.ndarray:
+    """``exprs.idiv`` where the denominator [yl, yh] holds 0, written into
+    the quotient bounds ``q``: one end stays finite where y touches 0 on one
+    side only.  Returns the mask of the empty-set marker: y = 0 and x not
+    holding 0."""
+    lo, hi = q
+    lo[touch] = -math.inf
+    hi[touch] = math.inf
+    above = (yl == 0) & (yh > 0)
+    below = (yh == 0) & (yl < 0)
+    x_pos, x_neg = xl > 0, xh < 0
+    np.copyto(lo, xl / yh, where=above & x_pos)
+    np.copyto(hi, xh / yh, where=above & x_neg)
+    np.copyto(hi, xl / yl, where=below & x_pos)
+    np.copyto(lo, xh / yl, where=below & x_neg)
+    return (yl == 0) & (yh == 0) & (x_pos | x_neg)
+
+
+def threshold_floats(g_bounds) -> tuple:
     """Per level x = 1..m, the float images of the threshold constants the
     relaxed cost uses: (g_{x-1}, 1/g_{x-1} - 1, g_x, 1 - g_x).
 
@@ -239,7 +304,35 @@ def threshold_floats(g_bounds) -> list:
         lo, hi = g_bounds[x - 1], g_bounds[x]
         out.append((float(lo), float(1 / lo - 1) if x > 1 else None,
                     float(hi), float(1 - hi)))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)  # a few models at a time
+def _cost_rows(thresholds: tuple, m: int) -> tuple:
+    """Per class (Z, x, y), in ``class_keys(m)`` order: the ``set_names(m)``
+    columns of Z_y and of A_x (x - 1, which also picks the minimum of p_B^0
+    over B_1..B_x), and the constants (g, h, div) of the relaxed cross term
+    k = q * (g + h * (1 - min p_B^0)) / div.  They are (g_x, 1 - g_x, 1) in
+    zone C, (1, 0, 1) at B level 1, (1, 0, g_{x-1}) at B, y <= x and
+    (1, 1/g_{x-1} - 1, 1) at B, y > x.  A factor 1 + 0 or a divisor 1
+    changes no bit, so k is the same as in a per-zone form.
+    """
+    cols, consts = [], []
+    for z, x, y in class_keys(m):
+        g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
+        if z == "C":
+            k = (gx, one_m_gx, 1.0)
+        elif x == 1:
+            k = (1.0, 0.0, 1.0)
+        elif y <= x:
+            k = (1.0, 0.0, g_prev)
+        else:
+            k = (1.0, inv_g_prev_m1, 1.0)
+        cols.append(((m if z == "B" else 2 * m) + y - 1, x - 1))
+        consts.append(k)
+    z_col, a_col = np.array(cols).T
+    g, h, div = np.array(consts).T
+    return z_col, a_col, g, h, div
 
 
 def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
@@ -251,40 +344,96 @@ def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
     order, any leading box axes); ``thresholds`` is
     ``threshold_floats(g_bounds)``.
     """
-    pa0 = p0[..., :m]
-    minb0 = np.minimum.accumulate(p0[..., m:2 * m], axis=-1)  # over B_1..B_x
-    c1, c2 = [], []
-    for z, first in (("B", m), ("C", 2 * m)):
-        pz0 = p0[..., first:first + m]  # y = 1..m
-        pz1 = p1[..., first:first + m]
-        for x in range(1, m + 1):
-            g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
-            q = (1 - pz0) * (1 - pa0[..., x - 1:x])
-            not_b0 = 1 - minb0[..., x - 1:x]
-            if z == "C":
-                k = q * (gx + one_m_gx * not_b0)
-            elif x == 1:
-                k = q
-            else:
-                k = np.empty_like(q)
-                k[..., :x] = q[..., :x] / g_prev  # y <= x
-                k[..., x:] = q[..., x:] * (1 + inv_g_prev_m1 * not_b0)
-            c1.append((1 - pz0) + k)
-            c2.append(pz1 + k)
-    return np.concatenate(c1, axis=-1), np.concatenate(c2, axis=-1)
+    z_col, a_col, g, h, div = _cost_rows(tuple(thresholds), m)
+    not_p0 = 1 - p0
+    # 1 - min over B_1..B_x of p_B^0
+    not_b0 = 1 - np.minimum.accumulate(p0[..., m:2 * m], axis=-1)
+    # take, unlike fancy indexing, leaves the gathers C-ordered, so c1 and
+    # c2 are too, and a matrix product with them sums in the same order
+    not_pz0 = not_p0.take(z_col, axis=-1)
+    k = not_pz0 * not_p0.take(a_col, axis=-1) * \
+        (g + h * not_b0.take(a_col, axis=-1)) / div
+    return not_pz0 + k, p1.take(z_col, axis=-1) + k
 
 
-@dataclass
-class LpProblem:
-    """A box LP in the form HiGHS reads: maximize X, the first column,
-    subject to row_lower <= A x <= row_upper and 0 <= x <= col_upper, the
-    columns in ``lp_columns(m)`` order.  The LPs of one model share the
-    three bound arrays of its ``lp_template``."""
+@dataclass(eq=False)
+class LpLayout:
+    """The pattern of a column-wise matrix and the bounds of the LPs stored
+    in it.  Entry e sits at (``row[e]``, ``col[e]``), the entries ordered by
+    column and by row within a column, as HiGHS reads them."""
 
-    A: np.ndarray
+    shape: tuple  # (rows, columns)
+    row: np.ndarray
+    col: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
     col_upper: np.ndarray
+
+    @classmethod
+    def of(cls, mask, row_lower, row_upper, col_upper) -> "LpLayout":
+        """The layout with an entry wherever ``mask`` is true."""
+        col, row = np.nonzero(mask.T)
+        return cls(mask.shape, row, col, row_lower, row_upper, col_upper)
+
+    @cached_property
+    def entry(self) -> np.ndarray:
+        """The number of the entry at each (row, column); -1 for none."""
+        out = np.full(self.shape, -1)
+        out[self.row, self.col] = np.arange(len(self.row))
+        return out
+
+    @cached_property
+    def highs_pattern(self) -> tuple:
+        """HiGHS's ``start_`` and ``index_`` of the pattern, as lists, which
+        convert to the bindings' vectors faster than arrays do."""
+        start = np.searchsorted(self.col, np.arange(self.shape[1] + 1))
+        return start.tolist(), self.row.tolist()
+
+
+class LpProblem:
+    """A box LP in the form HiGHS reads: maximize X, the first column,
+    subject to row_lower <= A x <= row_upper and 0 <= x <= col_upper, the
+    columns in ``lp_columns(m)`` order.
+
+    ``A`` is stored column-wise: ``values`` holds its entries in the order
+    of ``layout``, which holds the bounds too.  An entry may be an explicit
+    0, which HiGHS drops.  The LPs of one model share the layout of its
+    ``lp_template``.
+    """
+
+    __slots__ = ("layout", "values")
+
+    def __init__(self, A, row_lower, row_upper, col_upper):
+        """The LP of the dense matrix ``A``, stored under the pattern of its
+        nonzeros."""
+        A = np.asarray(A, dtype=float)
+        self.layout = LpLayout.of(A != 0, row_lower, row_upper, col_upper)
+        self.values = A[self.layout.row, self.layout.col]
+
+    @classmethod
+    def of(cls, layout: LpLayout, values: np.ndarray) -> "LpProblem":
+        """The LP whose entries in ``layout`` are ``values``."""
+        lp = cls.__new__(cls)
+        lp.layout, lp.values = layout, values
+        return lp
+
+    @property
+    def A(self) -> np.ndarray:
+        out = np.zeros(self.layout.shape)
+        out[self.layout.row, self.layout.col] = self.values
+        return out
+
+    @property
+    def row_lower(self) -> np.ndarray:
+        return self.layout.row_lower
+
+    @property
+    def row_upper(self) -> np.ndarray:
+        return self.layout.row_upper
+
+    @property
+    def col_upper(self) -> np.ndarray:
+        return self.layout.col_upper
 
 
 @dataclass
@@ -303,10 +452,12 @@ def lp_columns(m: int) -> list:
 
 
 def build_lp_template(model: NlpModel) -> LpProblem:
-    """What every box LP of a model shares.  ``A`` holds the rows that no
-    box changes; the chain block and the entries that depend on b are 0.
-    The arrays are never written once built: the LPs share the bounds, and
-    ``_HighsSolver`` recognises them by identity."""
+    """What every box LP of a model shares: its layout and the entries that
+    no box changes.  The layout holds the nonzeros of the fixed rows, the
+    whole chain block and the three entries that depend on b, all of them
+    whatever their value on a box; the chain block and the b entries are 0
+    in the template.  The arrays are never written once built: the LPs
+    share the layout, and ``_HighsSolver`` recognises it by identity."""
     n_chain = len(model.chains)
     nv = len(lp_columns(model.m))
     # rows: X <= cost of each chain, then the SR bound, the relaxed
@@ -325,15 +476,18 @@ def build_lp_template(model: NlpModel) -> LpProblem:
     row_upper[n_chain:eq - 1] = 1.0
     col_upper = np.full(nv, math.inf)
     col_upper[0] = X_CAP
-    return LpProblem(A=A, row_lower=row_lower, row_upper=row_upper,
-                     col_upper=col_upper)
+    pattern = A != 0
+    pattern[:n_chain, 3:] = True
+    pattern[n_chain, 2] = pattern[n_chain + 1, 1:3] = True
+    layout = LpLayout.of(pattern, row_lower, row_upper, col_upper)
+    return LpProblem.of(layout, A[layout.row, layout.col])
 
 
 def relax_to_lp(model: NlpModel, boxes: list) -> list:
     """The relaxed LP of each box, all boxes enclosed in one pass.
 
-    Each LP copies the ``A`` of ``model.lp_template`` and writes its chain
-    block and its b entries; the bounds are the template's own arrays.
+    Each LP copies the values of ``model.lp_template`` and writes its chain
+    block and its b entries; the layout is the template's own.
     """
     m, n_chain, t = model.m, len(model.chains), model.lp_template
     names = model.box_vars()
@@ -343,30 +497,31 @@ def relax_to_lp(model: NlpModel, boxes: list) -> list:
     p0, p1 = chain_bounds(model.chain_table, env)
     c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
 
-    A = np.repeat(t.A[np.newaxis], len(boxes), axis=0)
-    # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate
-    A[:, :n_chain, 3::2] -= c1
-    A[:, :n_chain, 4::2] -= c2
+    at = t.layout.entry
+    values = np.repeat(t.values[np.newaxis], len(boxes), axis=0)
+    # X <= cost of each chain; the D_{Z,1} and D_{Z,2} columns alternate.
+    # 0 - c, not -c, which would write a -0 where c is 0
+    values[:, at[:n_chain, 3::2]] = 0.0 - c1
+    values[:, at[:n_chain, 4::2]] = 0.0 - c2
     b0, b1 = bounds[:, 0, 0], bounds[:, 0, 1]
-    A[:, n_chain, 2] = -2.0 * b1 * (1 - b0)
+    values[:, at[n_chain, 2]] = -2.0 * b1 * (1 - b0)
     # relaxed normalization (the exact constraint holds at some b in the box)
-    A[:, n_chain + 1, 1] = 1 - b1
-    A[:, n_chain + 1, 2] = b1
-    return [LpProblem(A=a, row_lower=t.row_lower, row_upper=t.row_upper,
-                      col_upper=t.col_upper) for a in A]
+    values[:, at[n_chain + 1, 1]] = 1 - b1
+    values[:, at[n_chain + 1, 2]] = b1
+    return [LpProblem.of(t.layout, v) for v in values]
 
 
 class _HighsSolver:
     """One HiGHS instance from scipy's bundled bindings, configured once and
     reused for every LP.
 
-    One ``HighsLp`` is kept.  Its sizes, costs and bounds are written again
-    only when an LP does not share its bounds with the one before (the LPs
-    of one model share them through its ``lp_template``), and each call
-    hands over the column-wise matrix.  ``passModel`` discards the previous
-    model and its basis, so every solve starts cold and its answer does not
-    depend on the LPs solved before it.  Not safe to call from several
-    threads at once.
+    One ``HighsLp`` is kept.  Its sizes, costs, bounds and matrix pattern
+    are written again only when an LP does not share its layout with the
+    one before (the LPs of one model share the layout of its
+    ``lp_template``), and each call hands over the matrix values alone.
+    ``passModel`` discards the previous model and its basis, so every solve
+    starts cold and its answer does not depend on the LPs solved before it.
+    Not safe to call from several threads at once.
     """
 
     def __init__(self):
@@ -387,34 +542,31 @@ class _HighsSolver:
                         status.kInfeasible: "infeasible",
                         status.kUnbounded: "unbounded"}
         self._lp = core.HighsLp()
-        self._lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        self._row_upper = None  # the row_upper of the bounds in self._lp
+        self._matrix = self._lp.a_matrix_
+        self._matrix.format_ = core.MatrixFormat.kColwise
+        self._layout = None  # the layout self._lp holds
 
-    def _share(self, p: LpProblem) -> None:
-        lp = self._lp
-        n_row, n_col = p.A.shape
-        lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-        lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    def _share(self, layout: LpLayout) -> None:
+        lp, mat = self._lp, self._matrix
+        n_row, n_col = layout.shape
+        lp.num_col_ = mat.num_col_ = n_col
+        lp.num_row_ = mat.num_row_ = n_row
         cost = np.zeros(n_col)
         cost[0] = -1.0  # maximize X
         lp.col_cost_ = cost
         lp.col_lower_ = np.zeros(n_col)
-        lp.col_upper_ = p.col_upper
-        lp.row_lower_ = p.row_lower
-        lp.row_upper_ = p.row_upper
-        self._row_upper = p.row_upper
+        lp.col_upper_ = layout.col_upper
+        lp.row_lower_ = layout.row_lower
+        lp.row_upper_ = layout.row_upper
+        mat.start_, mat.index_ = layout.highs_pattern
+        self._layout = layout
 
     def __call__(self, p: LpProblem) -> LpSolution:
-        core, highs, lp = self._core, self._highs, self._lp
-        if p.row_upper is not self._row_upper:
-            self._share(p)
-        col, row = np.nonzero(p.A.T)  # column-major order
-        # lists convert to the bindings' vectors faster than arrays do
-        mat = lp.a_matrix_
-        mat.start_ = np.searchsorted(col, np.arange(p.A.shape[1] + 1)).tolist()
-        mat.index_ = row.tolist()
-        mat.value_ = p.A[row, col].tolist()
-        if highs.passModel(lp) == core.HighsStatus.kError or \
+        core, highs = self._core, self._highs
+        if p.layout is not self._layout:
+            self._share(p.layout)
+        self._matrix.value_ = p.values.tolist()
+        if highs.passModel(self._lp) == core.HighsStatus.kError or \
                 highs.run() == core.HighsStatus.kError:
             return LpSolution(status="failed")
         status = self._status.get(highs.getModelStatus(), "failed")
@@ -447,17 +599,32 @@ class BoundCertificate:
     worst_box: dict = None
     worst_value: float = None
     certificate_path: str = None
+    # where this run's time went (a resumed run counts only its own part):
+    # the LPs solved, the seconds spent enclosing boxes into LPs
+    # (relax_to_lp) and the seconds spent solving them (solve_lp)
+    lp_solves: int = 0
+    enclose_s: float = 0.0
+    solve_s: float = 0.0
 
 
-def _box_values(model, boxes) -> list:
-    """The LP value of each box, the boxes enclosed in one pass."""
+def _box_values(model, boxes, tally: Counter = None) -> list:
+    """The LP value of each box, the boxes enclosed in one pass.  ``tally``,
+    if given, adds up ``lp_solves``, ``enclose_s`` and ``solve_s``."""
+    clock = time.perf_counter
+    start = clock()
+    lps = relax_to_lp(model, boxes)
+    enclosed = clock()
     values = []
-    for lp in relax_to_lp(model, boxes):
+    for lp in lps:
         sol = solve_lp(lp)
         # the box LP is feasible (zero satisfies every row) and bounded
         # (X <= X_CAP), so any other status is a solver failure: never
         # trusted, it forces a split
         values.append(sol.value if sol.status == "optimal" else math.inf)
+    if tally is not None:
+        tally["lp_solves"] += len(lps)
+        tally["enclose_s"] += enclosed - start
+        tally["solve_s"] += clock() - enclosed
     return values
 
 
@@ -512,13 +679,17 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     the length of the audit file it matches, so a resumed run extends the
     file to a certificate of the whole domain.  It also records the target,
     the margin and the model it was written for; resuming it with any other
-    raises ValueError, before the audit file is touched.
+    raises ValueError, before the audit file is touched, as does a budget
+    below one box.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"the box budget must be at least 1, not {budget}")
     processed = 0
     n_leaves = 0
     heap = []
     counter = 0
     key = _run_key(model, target, delta)
+    tally = Counter()
 
     def push(box, value):
         nonlocal counter
@@ -563,7 +734,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         return BoundCertificate(
             target=target, status=status, boxes_processed=processed,
             n_leaves=n_leaves, worst_box=box, worst_value=value,
-            certificate_path=certificate)
+            certificate_path=certificate, **tally)
 
     try:
         if state is not None:
@@ -576,7 +747,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                 push(rec["box"], rec["value"])
         else:
             boxes = initial_boxes(model)
-            for box, value in zip(boxes, _box_values(model, boxes)):
+            for box, value in zip(boxes, _box_values(model, boxes, tally)):
                 push(box, value)
 
         while heap:
@@ -594,7 +765,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                 children = _split(box)
                 if not children:
                     return stop("counterexample-box", box, value)
-                for child, v in zip(children, _box_values(model, children)):
+                for child, v in zip(children,
+                                    _box_values(model, children, tally)):
                     push(child, v)
             if processed % CHECKPOINT_EVERY == 0:
                 save_checkpoint()
@@ -604,7 +776,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         save_checkpoint()
         return BoundCertificate(target=target, status="certified",
                                 boxes_processed=processed, n_leaves=n_leaves,
-                                certificate_path=certificate)
+                                certificate_path=certificate, **tally)
     finally:
         if cert_fh:
             cert_fh.close()

@@ -232,6 +232,36 @@ def test_bound_shorthand_after_top_level_options(capsys, tmp_path):
     assert json.loads(report.read_text())["status"] == "certified"
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_bound_run_refuses_a_budget_below_one(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "run", "--m", "2", "--target", "1.35",
+              "--budget-boxes", budget])
+    assert exc.value.code == 2
+    assert "--budget-boxes: must be at least 1" in capsys.readouterr().err
+
+
+def test_bound_replay_exit_codes(capsys, tmp_path):
+    """`bound replay` exits 0 on a certificate that proves its target and 1
+    on the same file with a leaf taken out."""
+    cert = tmp_path / "c.ndjson"
+    model = ("--m", "2", "--g", "0.6586", "--target", "1.45")
+    code, rep = run_json(capsys, "bound", *model, "--certificate", str(cert))
+    assert code == 0 and rep["leaves"] > 1
+    # the run's layer split
+    assert rep["lp_solves"] >= rep["boxes_processed"]
+    assert rep["enclose_s"] >= 0 and rep["solve_s"] >= 0
+    code, out = run_json(capsys, "bound", "replay", *model,
+                         "--certificate", str(cert))
+    assert code == 0 and out == {"valid": True, "leaves": rep["leaves"]}
+    lines = cert.read_text().splitlines(keepends=True)
+    del lines[len(lines) // 2]
+    cert.write_text("".join(lines))
+    code, out = run_json(capsys, "bound", "replay", *model,
+                         "--certificate", str(cert))
+    assert code == 1 and out == {"valid": False, "leaves": rep["leaves"] - 1}
+
+
 @pytest.mark.parametrize("g", [["--m", "2", "--g", "0"],
                                ["--m", "2", "--g", "1.5"],
                                ["--m", "3", "--g", "0.9", "0.5"]],

@@ -425,6 +425,33 @@ def test_replay_rejects_a_bad_leaf_in_the_last_block(tmp_path, cert_135):
                               target=values[worst] + nlp.DELTA)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_branch_and_bound_refuses_a_budget_below_one(budget):
+    """A budget under one box would still process one box."""
+    model = model_for_table("alg2", [0.6586])
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        branch_and_bound(model, target=1.35, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_lp_solves_count_every_solve_lp_call(monkeypatch, budget):
+    """The certificate's layer split counts each LP the run solved."""
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    calls = [0]
+    solve = nlp.solve_lp
+
+    def counted(lp):
+        calls[0] += 1
+        return solve(lp)
+
+    monkeypatch.setattr(nlp, "solve_lp", counted)
+    cert = branch_and_bound(model, target=1.40, budget=budget)
+    assert cert.status == ("certified" if budget is None
+                           else "exhausted-budget")
+    assert cert.lp_solves == calls[0] > 0
+    assert cert.enclose_s > 0 and cert.solve_s > 0
+
+
 @pytest.mark.parametrize("status", ["infeasible", "unbounded", "failed"])
 def test_only_an_optimal_lp_certifies_a_box(monkeypatch, status):
     """The box LP is feasible and bounded, so any other status is a solver
@@ -704,6 +731,39 @@ def test_box_values_of_a_batch_equal_single_boxes(name):
         assert np.array(got).tobytes() == np.array(want).tobytes(), batch
 
 
+@pytest.mark.parametrize("name", list(BIT_MODELS))
+def test_fixed_layout_solves_as_the_nonzero_matrix(name):
+    """Each box LP keeps the model's layout, explicit zeros included, and
+    solves to the same status and value, bit for bit, as its nonzeros
+    alone."""
+    model = BIT_MODELS[name]()
+    layout = model.lp_template.layout
+    explicit_zeros = 0
+    for lp in relax_to_lp(model, _search_boxes(model, 23, 40)):
+        assert lp.layout is layout
+        explicit_zeros += int(np.sum(lp.values == 0))
+        nonzero = nlp.LpProblem(lp.A, lp.row_lower, lp.row_upper,
+                                lp.col_upper)
+        assert np.all(nonzero.values != 0)
+        got, want = solve_lp(lp), solve_lp(nonzero)
+        assert got.status == want.status
+        assert np.array(got.value).tobytes() == np.array(want.value).tobytes()
+    assert explicit_zeros > 0
+
+
+def test_certificate_bit_identical_to_reference_pipeline(
+        cert_135, tmp_path, monkeypatch):
+    """Certifying alg2 at 1.35 through the per-chain reference LPs writes
+    the same audit file, byte for byte, as the default pipeline."""
+    model, path, _ = cert_135
+    monkeypatch.setattr(nlp, "relax_to_lp", lambda model, boxes: [
+        _reference_relax_to_lp(model, box)[0] for box in boxes])
+    reference = tmp_path / "reference.ndjson"
+    cert = branch_and_bound(model, target=1.35, certificate=str(reference))
+    assert (cert.boxes_processed, cert.n_leaves) == (926, 690)
+    assert reference.read_bytes() == path.read_bytes()
+
+
 def test_direct_highs_reuse_across_models():
     """One solver fed LPs of two models in turn answers as fresh ones."""
     shared = nlp._HighsSolver()
@@ -786,6 +846,16 @@ def test_m1_model_proves_no_factor_below_the_one_level_one():
     cert = branch_and_bound(model, target=1.36, budget=1000)
     assert cert.status != "certified" and cert.worst_value > 1.36
     assert branch_and_bound(model, target=1.37).status == "certified"
+
+
+@pytest.mark.parametrize("preset,objective", [
+    (preset_hard_point_s3, 1.2942414924380907),
+    (preset_m1_feasible, 1.3660254037840727)])
+def test_preset_objectives_are_pinned(preset, objective):
+    """The presets' objectives to the last bit: a cost-row layout that
+    makes the chain costs' matrix product sum in another order moves
+    them by an ulp."""
+    assert evaluate_point(*preset()).objective == objective
 
 
 def test_evaluate_point_flags_violations():
