@@ -26,7 +26,7 @@ from .rounding import star_round
 # ChainSpec, G_M2 and G_M3 are re-exported: callers read them as
 # algfamily.ChainSpec
 from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _backed_up, _guards, \
-    _size_key, _structurally_valid, builtin_tables, set_names
+    _size_key, _structurally_valid, builtin_tables, distinct_params, set_names
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -347,21 +347,19 @@ _ZERO, _ONE = (0, 1), (1, 1)
 class ChainKernel:
     """A chain table compiled for exact evaluation at a point.
 
-    Each distinct parameter of the table is kept once, as the integer affine
-    forms of ``LinFrac.integer_form``; ``rows[ci]`` holds the parameter index
-    of each set of chain ``ci``, in ``set_names(m)`` order.  ``evaluate``
-    scales a point to one common denominator and works in Python integers
-    throughout, so it agrees with ``instantiate`` + ``is_valid`` at tol 0 for
-    any exact point, however large its denominators.
+    Each distinct parameter of the table (``tables.distinct_params``) is kept
+    once, as the integer affine forms of ``LinFrac.integer_form``;
+    ``rows[ci]`` holds the parameter index of each set of chain ``ci``, in
+    ``set_names(m)`` order.  ``evaluate`` scales a point to one common
+    denominator and works in Python integers throughout, so it agrees with
+    ``instantiate`` + ``is_valid`` at tol 0 for any exact point, however
+    large its denominators.
     """
 
     def __init__(self, m: int, chains: list):
-        names = set_names(m)
-        index = {}  # LinFrac -> position, in order of first use
         self.m = m
-        self.rows = [tuple(index.setdefault(chain[W], len(index))
-                           for W in names) for chain in chains]
-        self.forms = [p.integer_form() for p in index]
+        params, self.rows = distinct_params(chains, m)
+        self.forms = [p.integer_form() for p in params]
 
     def evaluate(self, env: dict) -> tuple:
         """``(values, valid)`` at a point of exact rationals.

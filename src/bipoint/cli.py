@@ -153,7 +153,7 @@ def cmd_gap_verify(args) -> int:
 
 def cmd_gap_brute(args) -> int:
     sol = golden.build_golden(args.k)
-    t0 = time.time()
+    t0 = time.perf_counter()
     open_set, cost = golden.brute_force_opt(sol.instance, budget=args.budget)
     c = golden.golden_constants(args.k)
     bound = golden.rational_vertex_bound(c)
@@ -167,7 +167,7 @@ def cmd_gap_brute(args) -> int:
         "vertex_bound": float(bound),
         "sqrt_phi": float(golden.F_S),
         "dominates_vertex_bound": cost >= bound,
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }
     _emit(report, args)
     return 0 if report["dominates_vertex_bound"] else 1
@@ -331,7 +331,8 @@ def cmd_bound_run(args) -> int:
             log=(lambda msg: print(msg, file=sys.stderr)) if args.verbose
             else None)
     except ValueError as exc:
-        # a checkpoint written for another target, margin or model
+        # a resume without a checkpoint, or from one written for another
+        # run or audit file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

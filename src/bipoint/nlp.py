@@ -24,13 +24,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .algfamily import instantiate, is_valid, set_size
 from .partition import check_thresholds
-from .tables import builtin_tables, set_names
+from .tables import builtin_tables, distinct_params, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
 DELTA = 1e-7  # safety margin over the LP solver tolerance
@@ -52,14 +52,42 @@ class NlpModel:
         return ["b"] + [f"gA{t}" for t in range(2, self.m + 1)]
 
     @cached_property
-    def thresholds(self) -> list:
-        """``threshold_floats(g_bounds)``, computed on first use."""
-        return threshold_floats(self.g_bounds)
-
-    @cached_property
     def chain_table(self) -> "ChainTable":
         """``compile_chains(self)``, computed on first use."""
         return compile_chains(self)
+
+    @cached_property
+    def cost_rows(self) -> tuple:
+        """The rows of the relaxed costs, computed on first use.
+
+        Per class (Z, x, y), in ``class_keys(m)`` order: the
+        ``set_names(m)`` columns of Z_y and of A_x (x - 1, which also picks
+        the minimum of p_B^0 over B_1..B_x), and the constants (g, h, div)
+        of the relaxed cross term k = q * (g + h * (1 - min p_B^0)) / div.
+        They are (g_x, 1 - g_x, 1) in zone C, (1, 0, 1) at B level 1,
+        (1, 0, g_{x-1}) at B, y <= x and (1, 1/g_{x-1} - 1, 1) at B, y > x.
+        A factor 1 + 0 or a divisor 1 changes no bit, so k is the same as in
+        a per-zone form.  Each threshold constant is evaluated exactly as
+        written and rounded once, which is what mixing an exact ``Fraction``
+        threshold into float arithmetic does, so the coefficients match the
+        mixed arithmetic bit for bit.
+        """
+        m, g = self.m, self.g_bounds
+        cols, consts = [], []
+        for z, x, y in class_keys(m):
+            if z == "C":
+                k = (float(g[x]), float(1 - g[x]), 1.0)
+            elif x == 1:
+                k = (1.0, 0.0, 1.0)
+            elif y <= x:
+                k = (1.0, 0.0, float(g[x - 1]))
+            else:
+                k = (1.0, float(1 / g[x - 1] - 1), 1.0)
+            cols.append(((m if z == "B" else 2 * m) + y - 1, x - 1))
+            consts.append(k)
+        z_col, a_col = np.array(cols).T
+        g, h, div = np.array(consts).T
+        return z_col, a_col, g, h, div
 
     @cached_property
     def lp_template(self) -> "LpProblem":
@@ -120,73 +148,25 @@ def gamma_intervals(box: dict, m: int) -> dict:
 @dataclass(frozen=True)
 class ChainTable:
     """Every chain parameter of a model as clamp01(alpha + N/D), N and D
-    affine in the variables ``names`` (sorted), as float arrays over
-    (chain, set) with the sets in ``set_names(m)`` order.
+    affine in the variables ``names`` (sorted), laid out for
+    ``chain_bounds``.
 
-    The numerator and denominator are stacked on one axis: ``const[0]`` and
-    ``coef[v, 0]`` are N's constant and its coefficient of ``names[v]``,
-    ``const[1]`` and ``coef[v, 1]`` D's.
+    Chains share many parameters, so only the distinct ones
+    (``tables.distinct_params``) are enclosed: parameter (chain, set), in
+    row-major order over ``shape``, the sets in ``set_names(m)`` order, is
+    distinct parameter ``inverse[chain * sets + set]``.  Their sums are
+    accumulated in a flat array over (end, side, distinct parameter): end 0
+    is the low end and 1 the high end, side 0 is N and 1 is D.  Only the
+    nonzero terms are kept, each twice, once per end, and ``dest`` is the
+    sum a term goes to.  The values of the box variables are read from one
+    array over (end, variable), so a term's ``source`` picks the end its
+    coefficient's sign calls for: the low end of c * v is c * lo where
+    c > 0 and c * hi where c < 0.  Each sum meets its terms in ``names``
+    order.
     """
 
     names: tuple
-    alpha: np.ndarray  # (chains, sets)
-    const: np.ndarray  # (2, chains, sets)
-    coef: np.ndarray  # (variables, 2, chains, sets)
-
-    @cached_property
-    def terms(self) -> "EnclosureTerms":
-        """``compile_terms(self)``, computed on first use."""
-        return compile_terms(self)
-
-
-def compile_chains(model: NlpModel) -> ChainTable:
-    """The model's chain parameters as a ``ChainTable``.
-
-    Raises ValueError, naming the chain, the set and the formula, for a
-    parameter using a variable the branch-and-bound box does not bound.
-    """
-    m = model.m
-    sets = set_names(m)
-    bound = set(model.box_vars()) | {f"gC{t}" for t in range(1, m + 1)}
-    params = [(i, j, chain[W]) for i, chain in enumerate(model.chains)
-              for j, W in enumerate(sets)]
-    for i, j, e in params:
-        unbound = sorted({v for v, _ in e.n + e.d} - bound)
-        if unbound:
-            raise ValueError(
-                f"chain {i}, set {sets[j]}: {e!r} uses {', '.join(unbound)}, "
-                f"which the m={m} box does not bound "
-                f"(it bounds {', '.join(sorted(bound))})")
-    names = tuple(sorted({v for _, _, e in params for v, _ in e.n + e.d}))
-    shape = (len(model.chains), len(sets))
-    alpha = np.zeros(shape)
-    const = np.zeros((2,) + shape)
-    coef = np.zeros((len(names), 2) + shape)
-    for i, j, e in params:
-        alpha[i, j] = float(e.alpha)
-        for side, (c0, cs) in enumerate(((e.n0, e.n), (e.d0, e.d))):
-            const[side, i, j] = float(c0)
-            for v, c in cs:
-                coef[names.index(v), side, i, j] = float(c)
-    return ChainTable(names=names, alpha=alpha, const=const, coef=coef)
-
-
-@dataclass
-class EnclosureTerms:
-    """A ``ChainTable`` laid out for ``chain_bounds``.
-
-    Chains share many parameters, so only the distinct ones are enclosed:
-    parameter (chain, set), in row-major order, is distinct parameter
-    ``inverse[chain * sets + set]``.  Their sums are accumulated in a flat
-    array over (end, side, distinct parameter): end 0 is the low end and 1
-    the high end, side 0 is N and 1 is D.  Only the nonzero terms are kept,
-    each twice, once per end, and ``dest`` is the sum a term goes to.  The
-    values of the box variables are read from one array over (end,
-    variable), so a term's ``source`` picks the end its coefficient's sign
-    calls for: the low end of c * v is c * lo where c > 0 and c * hi where
-    c < 0.  Each sum meets its terms in ``names`` order.
-    """
-
+    shape: tuple  # (chains, sets)
     source: np.ndarray  # (terms,) index into the (end, variable) values
     coef: np.ndarray  # (terms,)
     dest: np.ndarray  # (terms,) index into the sums
@@ -195,27 +175,49 @@ class EnclosureTerms:
     inverse: np.ndarray  # (chains * sets,) the distinct parameter of each
 
 
-def compile_terms(table: ChainTable) -> EnclosureTerms:
-    """The ``EnclosureTerms`` of ``table``."""
-    nv = len(table.names)
-    params = np.concatenate([table.alpha.reshape(1, -1),
-                             table.const.reshape(2, -1),
-                             table.coef.reshape(2 * nv, -1)])
-    distinct, inverse = np.unique(params.T, axis=0, return_inverse=True)
-    # (variable, side and distinct parameter); np.nonzero walks it in
-    # variable order
-    coef = np.ascontiguousarray(distinct[:, 3:].T).reshape(nv, -1)
-    var, col = np.nonzero(coef)
-    c = coef[var, col]
-    up = c > 0
+def compile_chains(model: NlpModel) -> ChainTable:
+    """The model's chain parameters as a ``ChainTable``, built from their
+    exact ``LinFrac``s.
+
+    Raises ValueError, naming the chain, the set and the formula, for a
+    parameter using a variable the branch-and-bound box does not bound.
+    """
+    m = model.m
+    sets = set_names(m)
+    params, rows = distinct_params(model.chains, m)
+    bound = set(model.box_vars()) | {f"gC{t}" for t in range(1, m + 1)}
+    # distinct parameters come in order of first use, so the first one
+    # refused is also the first in the table
+    for j, e in enumerate(params):
+        unbound = sorted({v for v, _ in e.n + e.d} - bound)
+        if unbound:
+            i = next(i for i, row in enumerate(rows) if j in row)
+            raise ValueError(
+                f"chain {i}, set {sets[rows[i].index(j)]}: {e!r} uses "
+                f"{', '.join(unbound)}, which the m={m} box does not bound "
+                f"(it bounds {', '.join(sorted(bound))})")
+    names = tuple(sorted({v for e in params for v, _ in e.n + e.d}))
+    nd, nv = len(params), len(names)
+    # (variable, sum, coefficient) of every term of N, then of D, of each
+    # distinct parameter
+    terms = np.array([(names.index(v), side * nd + j, float(c))
+                      for j, e in enumerate(params)
+                      for side, affine in enumerate((e.n, e.d))
+                      for v, c in sorted(affine)]).reshape(-1, 3)
+    var, dest = terms[:, :2].T.astype(np.intp)
+    coef = terms[:, 2]
+    up = coef > 0
+    const = [float(e.n0) for e in params] + [float(e.d0) for e in params]
     # the low-end copy of every term, then its high-end one
-    return EnclosureTerms(
+    return ChainTable(
+        names=names, shape=(len(model.chains), len(sets)),
         source=np.concatenate([np.where(up, var, var + nv),
                                np.where(up, var + nv, var)]),
-        coef=np.concatenate([c, c]),
-        dest=np.concatenate([col, col + coef.shape[1]]),
-        const=np.tile(distinct[:, 1:3].T.ravel(), 2), alpha=distinct[:, 0],
-        inverse=inverse.reshape(-1))
+        coef=np.concatenate([coef, coef]),
+        dest=np.concatenate([dest, dest + 2 * nd]),
+        const=np.array(const * 2),
+        alpha=np.array([float(e.alpha) for e in params]),
+        inverse=np.array(rows, dtype=np.intp).reshape(-1))
 
 
 def chain_bounds(table: ChainTable, env: dict) -> tuple:
@@ -232,18 +234,17 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
     box and whose numerator is not (the parameter of an empty set) gets
     (1, 0), which zeroes every occurrence of p and of 1 - p.
     """
-    t = table.terms
     ends = np.array([env[v][0] for v in table.names]
                     + [env[v][1] for v in table.names], dtype=float)
     boxes = ends.shape[1:]
     values = ends.reshape(len(ends), -1).T  # (box, end and variable)
-    n, size = len(values), len(t.const)
-    terms = values[:, t.source] * t.coef
+    n, size = len(values), len(table.const)
+    terms = values[:, table.source] * table.coef
     # bincount adds each box's terms into their sums one by one, in order,
     # starting from 0
-    at = t.dest + size * np.arange(n)[:, np.newaxis]
+    at = table.dest + size * np.arange(n)[:, np.newaxis]
     sums = np.bincount(at.ravel(), terms.ravel(), n * size).reshape(n, size)
-    sums += t.const
+    sums += table.const
     sums = sums.reshape(n, 2, 2, -1)  # (box, end, side, parameter)
     x, y = sums[:, :, 0], sums[:, :, 1]
     q = np.empty((2, n, x.shape[-1]))  # (end, box, parameter)
@@ -262,13 +263,13 @@ def chain_bounds(table: ChainTable, env: dict) -> tuple:
         touching = touch.any()
         if touching:
             empty = _touching_zero(x[:, 0], x[:, 1], yl, yh, touch, q)
-    q += t.alpha
+    q += table.alpha
     np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
     if touching:
         q[0][empty] = 1.0
         q[1][empty] = 0.0
-    p = q.take(t.inverse, axis=-1)
-    shape = boxes + table.alpha.shape
+    p = q.take(table.inverse, axis=-1)
+    shape = boxes + table.shape
     return p[0].reshape(shape), p[1].reshape(shape)
 
 
@@ -290,61 +291,15 @@ def _touching_zero(xl, xh, yl, yh, touch, q) -> np.ndarray:
     return (yl == 0) & (yh == 0) & (x_pos | x_neg)
 
 
-def threshold_floats(g_bounds) -> tuple:
-    """Per level x = 1..m, the float images of the threshold constants the
-    relaxed cost uses: (g_{x-1}, 1/g_{x-1} - 1, g_x, 1 - g_x).
-
-    Each is evaluated exactly as written and rounded once, which is what
-    mixing an exact ``Fraction`` threshold into float arithmetic does, so the
-    coefficients match the mixed arithmetic bit for bit.  Level 1 has no
-    1/g_0 term.
-    """
-    out = []
-    for x in range(1, len(g_bounds)):
-        lo, hi = g_bounds[x - 1], g_bounds[x]
-        out.append((float(lo), float(1 / lo - 1) if x > 1 else None,
-                    float(hi), float(1 - hi)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)  # a few models at a time
-def _cost_rows(thresholds: tuple, m: int) -> tuple:
-    """Per class (Z, x, y), in ``class_keys(m)`` order: the ``set_names(m)``
-    columns of Z_y and of A_x (x - 1, which also picks the minimum of p_B^0
-    over B_1..B_x), and the constants (g, h, div) of the relaxed cross term
-    k = q * (g + h * (1 - min p_B^0)) / div.  They are (g_x, 1 - g_x, 1) in
-    zone C, (1, 0, 1) at B level 1, (1, 0, g_{x-1}) at B, y <= x and
-    (1, 1/g_{x-1} - 1, 1) at B, y > x.  A factor 1 + 0 or a divisor 1
-    changes no bit, so k is the same as in a per-zone form.
-    """
-    cols, consts = [], []
-    for z, x, y in class_keys(m):
-        g_prev, inv_g_prev_m1, gx, one_m_gx = thresholds[x - 1]
-        if z == "C":
-            k = (gx, one_m_gx, 1.0)
-        elif x == 1:
-            k = (1.0, 0.0, 1.0)
-        elif y <= x:
-            k = (1.0, 0.0, g_prev)
-        else:
-            k = (1.0, inv_g_prev_m1, 1.0)
-        cols.append(((m if z == "B" else 2 * m) + y - 1, x - 1))
-        consts.append(k)
-    z_col, a_col = np.array(cols).T
-    g, h, div = np.array(consts).T
-    return z_col, a_col, g, h, div
-
-
-def relaxed_cost_coeffs(p0, p1, thresholds, m: int) -> tuple:
+def relaxed_cost_coeffs(p0, p1, rows, m: int) -> tuple:
     """Upper-bound coefficients (c1, c2) of (D_{Z,1}, D_{Z,2}), each of shape
     (..., chains, classes) with the classes in ``class_keys(m)`` order,
     with each p / (1-p) occurrence relaxed independently.
 
     ``p0``, ``p1`` are ``chain_bounds`` arrays (columns in ``set_names(m)``
-    order, any leading box axes); ``thresholds`` is
-    ``threshold_floats(g_bounds)``.
+    order, any leading box axes); ``rows`` is the model's ``cost_rows``.
     """
-    z_col, a_col, g, h, div = _cost_rows(tuple(thresholds), m)
+    z_col, a_col, g, h, div = rows
     not_p0 = 1 - p0
     # 1 - min over B_1..B_x of p_B^0
     not_b0 = 1 - np.minimum.accumulate(p0[..., m:2 * m], axis=-1)
@@ -390,6 +345,7 @@ class LpLayout:
         return start.tolist(), self.row.tolist()
 
 
+@dataclass(eq=False, slots=True)
 class LpProblem:
     """A box LP in the form HiGHS reads: maximize X, the first column,
     subject to row_lower <= A x <= row_upper and 0 <= x <= col_upper, the
@@ -401,21 +357,8 @@ class LpProblem:
     ``lp_template``.
     """
 
-    __slots__ = ("layout", "values")
-
-    def __init__(self, A, row_lower, row_upper, col_upper):
-        """The LP of the dense matrix ``A``, stored under the pattern of its
-        nonzeros."""
-        A = np.asarray(A, dtype=float)
-        self.layout = LpLayout.of(A != 0, row_lower, row_upper, col_upper)
-        self.values = A[self.layout.row, self.layout.col]
-
-    @classmethod
-    def of(cls, layout: LpLayout, values: np.ndarray) -> "LpProblem":
-        """The LP whose entries in ``layout`` are ``values``."""
-        lp = cls.__new__(cls)
-        lp.layout, lp.values = layout, values
-        return lp
+    layout: LpLayout
+    values: np.ndarray
 
     @property
     def A(self) -> np.ndarray:
@@ -480,7 +423,7 @@ def build_lp_template(model: NlpModel) -> LpProblem:
     pattern[:n_chain, 3:] = True
     pattern[n_chain, 2] = pattern[n_chain + 1, 1:3] = True
     layout = LpLayout.of(pattern, row_lower, row_upper, col_upper)
-    return LpProblem.of(layout, A[layout.row, layout.col])
+    return LpProblem(layout, A[layout.row, layout.col])
 
 
 def relax_to_lp(model: NlpModel, boxes: list) -> list:
@@ -495,7 +438,7 @@ def relax_to_lp(model: NlpModel, boxes: list) -> list:
     env = gamma_intervals({v: (bounds[:, i, 0], bounds[:, i, 1])
                            for i, v in enumerate(names)}, m)
     p0, p1 = chain_bounds(model.chain_table, env)
-    c1, c2 = relaxed_cost_coeffs(p0, p1, model.thresholds, m)
+    c1, c2 = relaxed_cost_coeffs(p0, p1, model.cost_rows, m)
 
     at = t.layout.entry
     values = np.repeat(t.values[np.newaxis], len(boxes), axis=0)
@@ -508,7 +451,7 @@ def relax_to_lp(model: NlpModel, boxes: list) -> list:
     # relaxed normalization (the exact constraint holds at some b in the box)
     values[:, at[n_chain + 1, 1]] = 1 - b1
     values[:, at[n_chain + 1, 2]] = b1
-    return [LpProblem.of(t.layout, v) for v in values]
+    return [LpProblem(t.layout, v) for v in values]
 
 
 class _HighsSolver:
@@ -679,11 +622,16 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     the length of the audit file it matches, so a resumed run extends the
     file to a certificate of the whole domain.  It also records the target,
     the margin and the model it was written for; resuming it with any other
-    raises ValueError, before the audit file is touched, as does a budget
-    below one box.
+    raises ValueError, before the audit file is touched, as does resuming
+    onto an audit file that is missing or shorter than the checkpoint
+    records, or onto any audit file from a checkpoint that records none.
+    A budget below one box, or a resume without a checkpoint, raises
+    ValueError too.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"the box budget must be at least 1, not {budget}")
+    if resume and not checkpoint:
+        raise ValueError("a resumed run needs a checkpoint")
     processed = 0
     n_leaves = 0
     heap = []
@@ -697,7 +645,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         counter += 1
 
     state = None
-    if resume and checkpoint and os.path.exists(checkpoint):
+    if resume and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             state = json.load(fh)
         wrong = [f"{k} {state.get(k)!r} (this run: {v!r})"
@@ -705,6 +653,16 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         if wrong:
             raise ValueError(f"checkpoint {checkpoint} was written for "
                              f"another run: {', '.join(wrong)}")
+        if certificate:
+            need = state.get("certificate_bytes")
+            have = os.path.getsize(certificate) \
+                if os.path.exists(certificate) else None
+            if need is None or have is None or have < need:
+                recorded = "no audit file" if need is None else \
+                    f"{need} bytes of its audit file"
+                found = "missing" if have is None else f"{have} bytes long"
+                raise ValueError(f"checkpoint {checkpoint} records {recorded}"
+                                 f", and {certificate} is {found}")
 
     # a run that starts afresh, also one asked to resume from a checkpoint
     # that does not exist, writes its audit file from the start
@@ -740,7 +698,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         if state is not None:
             processed = state["processed"]
             n_leaves = state["n_leaves"]
-            if cert_fh and "certificate_bytes" in state:
+            if cert_fh:
                 # drop leaves written after the checkpoint: they are re-derived
                 cert_fh.truncate(state["certificate_bytes"])
             for rec in state["worklist"]:
@@ -873,10 +831,11 @@ class PointReport:
     violations: list = field(default_factory=list)
 
 
-def point_costs(vectors, env: dict, thresholds, m: int, profile: dict):
+def point_costs(vectors, env: dict, rows, m: int, profile: dict):
     """The cost bound of each parameter vector at the point ``env``: the box
-    LP's cost rows on the degenerate box at the point, summed against
-    ``profile``, which maps (zone, x, y) to the class's (D_1, D_2).
+    LP's cost rows ``rows`` (a model's ``cost_rows``) on the degenerate box
+    at the point, summed against ``profile``, which maps (zone, x, y) to the
+    class's (D_1, D_2).
 
     A set that is empty at the point reads 1, which drops it from the backup
     minimum; a class on an empty set must hold no mass.
@@ -884,7 +843,7 @@ def point_costs(vectors, env: dict, thresholds, m: int, profile: dict):
     sets = set_names(m)
     p = np.array([[1.0 if set_size(W, env) == 0 else float(v[W])
                    for W in sets] for v in vectors]).reshape(-1, len(sets))
-    c1, c2 = relaxed_cost_coeffs(p, p, thresholds, m)
+    c1, c2 = relaxed_cost_coeffs(p, p, rows, m)
     d = np.array([profile.get(key, (0, 0)) for key in class_keys(m)],
                  dtype=float)
     return c1 @ d[:, 0] + c2 @ d[:, 1]
@@ -932,7 +891,7 @@ def evaluate_point(model: NlpModel, env: dict, profile: dict,
         if is_valid(values, env, m, tol=1e-9 if tol < 1e-9 else tol).ok:
             valid[f"chain{i}"] = values
     costs = dict(zip(valid, map(float, point_costs(
-        list(valid.values()), env, model.thresholds, m, profile))))
+        list(valid.values()), env, model.cost_rows, m, profile))))
     sr_value = float((1 - b) * D1 + b * (3 - 2 * b) * D2)
     pool = {**costs, "SR": sr_value}
     objective = min(pool.values())
@@ -981,8 +940,6 @@ def preset_m1_feasible() -> tuple:
     finite-gamma deviation of the two gamma-dependent chains is O(1e-12),
     below the 1e-9 tolerance of interest.
     """
-    from fractions import Fraction
-
     s3 = math.sqrt(3)
     model = NlpModel(m=1, g_bounds=[0, 1],
                      chains=builtin_tables()["alg1"][1], name="alg1")

@@ -163,6 +163,17 @@ def set_names(m: int) -> tuple:
     return tuple(f"{z}{t}" for z in "ABC" for t in range(1, m + 1))
 
 
+def distinct_params(chains: list, m: int) -> tuple:
+    """``(params, rows)``: the distinct ``LinFrac``s of ``chains`` in order of
+    first use, and per chain the index into ``params`` of each set's
+    parameter, in ``set_names(m)`` order.  Parameters are the same when they
+    are equal exactly."""
+    index = {}  # LinFrac -> position
+    rows = [tuple(index.setdefault(chain[W], len(index))
+                  for W in set_names(m)) for chain in chains]
+    return list(index), rows
+
+
 def _size_key(name: str) -> str:
     # |A_t| = |B_t| by padding, both normalized by |C|
     t = name[1:]

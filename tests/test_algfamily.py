@@ -27,7 +27,7 @@ from bipoint.algfamily import (
     param_env,
 )
 from bipoint.instances import connection_cost_float, synthesize_random_bipoint
-from bipoint.nlp import point_costs, threshold_floats
+from bipoint.nlp import NlpModel, point_costs
 from bipoint.partition import build_partition, build_stars, class_aggregates, \
     classify_clients
 from bipoint.tables import builtin_tables, set_names
@@ -256,10 +256,11 @@ def test_cost_bound_dominates_monte_carlo():
     env = param_env(sol, part)
     classified = classify_clients(sol, forest, part)
     profile = class_aggregates(sol.instance, classified, part.m)
-    thresholds = threshold_floats([0] + [float(g) for g in G_M2] + [1])
+    rows = NlpModel(m=2, g_bounds=[0] + [float(g) for g in G_M2] + [1],
+                    chains=[]).cost_rows
     rng = random.Random(3)
     for vals in enumerate_algm(2, env):
-        bound = float(point_costs([vals], env, thresholds, 2, profile)[0])
+        bound = float(point_costs([vals], env, rows, 2, profile)[0])
         costs = []
         for _ in range(150):
             res = execute(vals, part, rng)

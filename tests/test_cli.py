@@ -2,9 +2,11 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from bipoint import cli
 from bipoint.cli import main
 
 
@@ -65,6 +67,15 @@ def test_no_algorithm_beats_the_brute_force_optimum():
 def test_gap_brute_exit_codes(capsys):
     code, rep = run_json(capsys, "gap", "brute", "--k", "6")
     assert code == 0 and rep["dominates_vertex_bound"]
+
+
+def test_gap_brute_times_with_perf_counter(capsys, monkeypatch):
+    """`seconds` comes from the monotonic clock, as in `bound run`."""
+    clock = iter([10.0, 12.5])
+    monkeypatch.setattr(cli, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    code, rep = run_json(capsys, "gap", "brute", "--k", "6")
+    assert code == 0 and rep["seconds"] == 2.5
 
 
 def test_alg_enumerate(capsys):
@@ -286,6 +297,29 @@ def test_bound_resume_against_another_target_exits_2(capsys, tmp_path):
     # the run it was written for still resumes
     code, rep = run_json(capsys, *args, "--target", "1.6", "--resume")
     assert code == 0 and rep["status"] == "certified"
+
+
+def test_bound_resume_without_a_checkpoint_exits_2(capsys):
+    code = main(["bound", "run", "--m", "1", "--target", "1.37", "--resume"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "needs a checkpoint" in captured.err
+
+
+def test_bound_resume_onto_another_audit_file_exits_2(capsys, tmp_path):
+    """Resuming a finished run onto a new audit file would pad the file with
+    NUL bytes up to the length the checkpoint records and report it as a
+    certificate."""
+    ck = str(tmp_path / "state.json")
+    args = ("bound", "run", "--m", "2", "--target", "1.6", "--checkpoint", ck)
+    code, _ = run_json(capsys, *args, "--certificate",
+                       str(tmp_path / "a.ndjson"))
+    assert code == 0
+    other = tmp_path / "b.ndjson"
+    code = main([*args, "--resume", "--certificate", str(other)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "is missing" in captured.err and not other.exists()
 
 
 def test_report_file_named_bound_is_not_the_bound_command(

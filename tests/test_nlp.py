@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from bipoint import nlp
-from bipoint.algfamily import derive_gamma_env, generate_chains, \
-    instantiate, is_valid, set_size
+from bipoint.algfamily import ChainKernel, derive_gamma_env, \
+    generate_chains, instantiate, is_valid, set_size
 from bipoint.nlp import (
     branch_and_bound,
     evaluate_point,
@@ -433,6 +433,40 @@ def test_branch_and_bound_refuses_a_budget_below_one(budget):
         branch_and_bound(model, target=1.35, budget=budget)
 
 
+def test_branch_and_bound_refuses_a_resume_without_a_checkpoint():
+    """Without a checkpoint there is nothing to resume; the run would start
+    over instead."""
+    model = model_for_table("alg2", [0.6586])
+    with pytest.raises(ValueError, match="needs a checkpoint"):
+        branch_and_bound(model, target=1.35, resume=True)
+
+
+@pytest.mark.parametrize("case", ["missing", "shorter", "unrecorded"])
+def test_resume_refuses_an_audit_file_the_checkpoint_does_not_match(
+        tmp_path, case):
+    """A resumed run extends the audit file its checkpoint records.  Onto a
+    missing or shorter file, or from a checkpoint that records none, the
+    file would not hold the leaves written before, so the run raises before
+    it touches the file."""
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    ck = str(tmp_path / "state.json")
+    leaves, other = tmp_path / "leaves.ndjson", tmp_path / "other.ndjson"
+    branch_and_bound(model, target=1.6, checkpoint=ck,
+                     certificate=None if case == "unrecorded" else str(leaves))
+    if case == "shorter":
+        other.write_text(leaves.read_text().split("\n", 1)[1])
+    elif case == "unrecorded":
+        other.write_text("")
+    before = other.read_bytes() if other.exists() else None
+    want = {"missing": r"records \d+ bytes .* is missing",
+            "shorter": r"records \d+ bytes .* is \d+ bytes long",
+            "unrecorded": "records no audit file"}[case]
+    with pytest.raises(ValueError, match=want):
+        branch_and_bound(model, target=1.6, checkpoint=ck, resume=True,
+                         certificate=str(other))
+    assert (other.read_bytes() if other.exists() else None) == before
+
+
 @pytest.mark.parametrize("budget", [None, 20])
 def test_lp_solves_count_every_solve_lp_call(monkeypatch, budget):
     """The certificate's layer split counts each LP the run solved."""
@@ -548,7 +582,7 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
                   for params in model.chains]
         bounds = np.array([[_p_bounds(pb[W]) for W in sets] for pb in pboxes])
         c1, c2 = relaxed_cost_coeffs(bounds[..., 0], bounds[..., 1],
-                                     model.thresholds, model.m)
+                                     model.cost_rows, model.m)
         for i, pb in enumerate(pboxes):
             want = _reference_cost_coeffs(pb, model.g_bounds, model.m)
             assert list(zip(c1[i], c2[i])) == [want[key] for key in keys]
@@ -597,7 +631,7 @@ def test_point_costs_equal_reference_cost_coeffs():
     checked, empty_a1, empty_c1 = 0, 0, 0
     for model, env, profile in cases:
         vectors = _valid_vectors(model, env)
-        got = point_costs(vectors, env, model.thresholds, model.m, profile)
+        got = point_costs(vectors, env, model.cost_rows, model.m, profile)
         want = _reference_point_costs(vectors, env, model.g_bounds, model.m,
                                       profile)
         assert list(got) == pytest.approx(want, rel=1e-12, abs=0)
@@ -653,10 +687,16 @@ def _reference_relax_to_lp(model, box):
         A.append(r)
         row_lower.append(0.0)
         row_upper.append(0.0)
-    lp = nlp.LpProblem(A=np.array(A), row_lower=np.array(row_lower),
-                       row_upper=np.array(row_upper),
-                       col_upper=np.array([nlp.X_CAP] + [math.inf] * (nv - 1)))
+    lp = _dense_lp(np.array(A), np.array(row_lower), np.array(row_upper),
+                   np.array([nlp.X_CAP] + [math.inf] * (nv - 1)))
     return lp, var_names
+
+
+def _dense_lp(A, row_lower, row_upper, col_upper):
+    """The LP of the dense matrix ``A``, stored under the pattern of its
+    nonzeros."""
+    layout = nlp.LpLayout.of(A != 0, row_lower, row_upper, col_upper)
+    return nlp.LpProblem(layout, A[layout.row, layout.col])
 
 
 def _dyadic(rng, lo, hi):
@@ -742,8 +782,7 @@ def test_fixed_layout_solves_as_the_nonzero_matrix(name):
     for lp in relax_to_lp(model, _search_boxes(model, 23, 40)):
         assert lp.layout is layout
         explicit_zeros += int(np.sum(lp.values == 0))
-        nonzero = nlp.LpProblem(lp.A, lp.row_lower, lp.row_upper,
-                                lp.col_upper)
+        nonzero = _dense_lp(lp.A, lp.row_lower, lp.row_upper, lp.col_upper)
         assert np.all(nonzero.values != 0)
         got, want = solve_lp(lp), solve_lp(nonzero)
         assert got.status == want.status
@@ -812,14 +851,64 @@ PINNED_CHAIN_TABLES = {
 }
 
 
+def _dense_chain_arrays(model):
+    """The model's chain parameters clamp01(alpha + N/D) as float arrays over
+    (chain, set): the sorted variables, alpha, the constants (N's, D's) and
+    the coefficients (variable, N's or D's)."""
+    sets = set_names(model.m)
+    names = tuple(sorted({v for chain in model.chains for e in chain.values()
+                          for v, _ in e.n + e.d}))
+    shape = (len(model.chains), len(sets))
+    alpha, const = np.zeros(shape), np.zeros((2,) + shape)
+    coef = np.zeros((len(names), 2) + shape)
+    for i, chain in enumerate(model.chains):
+        for j, W in enumerate(sets):
+            e = chain[W]
+            alpha[i, j] = float(e.alpha)
+            for side, (c0, cs) in enumerate(((e.n0, e.n), (e.d0, e.d))):
+                const[side, i, j] = float(c0)
+                for v, c in cs:
+                    coef[names.index(v), side, i, j] = float(c)
+    return names, alpha, const, coef
+
+
+def _expand(t):
+    """A ``ChainTable``'s parameters as the arrays of ``_dense_chain_arrays``,
+    read from the low-end copy of its terms."""
+    nv, nd = len(t.names), len(t.alpha)
+    half = len(t.coef) // 2
+    coef = np.zeros((nv, 2, nd))
+    coef[t.source[:half] % nv, t.dest[:half] // nd, t.dest[:half] % nd] = \
+        t.coef[:half]
+    at = t.inverse.reshape(t.shape)
+    return (t.alpha[at], t.const[:2 * nd].reshape(2, nd)[:, at],
+            coef[:, :, at])
+
+
 @pytest.mark.parametrize("table", list(PINNED_CHAIN_TABLES))
 def test_compiled_chain_table_is_pinned(table):
+    """The parameters of each built-in table are pinned as dense float
+    arrays, and the compiled table holds exactly those."""
     g, want = PINNED_CHAIN_TABLES[table]
-    t = nlp.compile_chains(model_for_table(table, g))
-    h = hashlib.sha256(repr((t.names, t.alpha.shape, t.coef.shape)).encode())
-    for a in (t.alpha, t.const, t.coef):
+    model = model_for_table(table, g)
+    names, *dense = _dense_chain_arrays(model)
+    h = hashlib.sha256(repr((names, dense[0].shape, dense[2].shape)).encode())
+    for a in dense:
         h.update(a.tobytes())
     assert h.hexdigest() == want
+    t = nlp.compile_chains(model)
+    assert t.names == names and t.shape == dense[0].shape
+    assert [a.tobytes() for a in _expand(t)] == [a.tobytes() for a in dense]
+
+
+@pytest.mark.parametrize("name", list(BIT_MODELS))
+def test_chain_table_shares_the_kernel_dedupe(name):
+    """The box enclosure and the exact kernel number the distinct
+    parameters alike."""
+    model = BIT_MODELS[name]()
+    rows = ChainKernel(model.m, model.chains).rows
+    assert [j for row in rows for j in row] == \
+        model.chain_table.inverse.tolist()
 
 
 def test_hard_point_reference_value():

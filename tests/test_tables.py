@@ -12,7 +12,7 @@ import pytest
 from bipoint.algfamily import canonical, derive_gamma_env, generate_chains, \
     instantiate, is_valid
 from bipoint.tables import CATALOGUE, OPEN, ChainSpec, _backed_up, _guards, \
-    _structurally_valid, builtin_tables, set_names
+    _structurally_valid, builtin_tables, distinct_params, set_names
 
 import reference_tables
 from reference_tables import read_param
@@ -181,3 +181,19 @@ def test_structurally_valid_is_the_old_rule(m):
     got = [_structurally_valid(start, m) for start in starts]
     assert got == [_old_structural_rule(start, m) for start in starts]
     assert any(got) and not all(got)
+
+
+@pytest.mark.parametrize("name,distinct,total", [
+    ("alg1", 5, 12), ("alg2", 14, 60), ("alg3", 68, 261), ("uniform", 15, 84)])
+def test_distinct_params_of_the_builtin_tables(name, distinct, total):
+    """Each table's parameters, deduplicated exactly, in order of first use
+    and indexed back from every (chain, set)."""
+    m, chains = builtin_tables()[name]
+    params, rows = distinct_params(chains, m)
+    assert (len(params), sum(map(len, rows))) == (distinct, total)
+    assert len(set(params)) == len(params)
+    flat = [j for row in rows for j in row]
+    assert [flat.index(j) for j in range(len(params))] == \
+        sorted(flat.index(j) for j in range(len(params)))
+    assert [[params[j] for j in row] for row in rows] == \
+        [[chain[W] for W in set_names(m)] for chain in chains]
