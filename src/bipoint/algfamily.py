@@ -42,23 +42,17 @@ def mass_target(env, m: int):
 
 def derive_gamma_env(b, gAs) -> dict:
     """Environment from b and gamma_{A_1..m}, with the gamma_{C_t} filled in
-    by the size recurrence: C_m takes min(1, gA_m), lower levels take what is
-    left, C_1 the remainder."""
-    m = len(gAs)
+    by the size recurrence: from t = m down to 2, C_t takes
+    min(gA_t, 1 - what the levels above took), starting from 0, so C_m
+    takes min(gA_m, 1); C_1 takes the remainder (all of it at m = 1)."""
     env = {"b": Fraction(b)}
     for t, g in enumerate(gAs, 1):
         env[f"gA{t}"] = Fraction(g)
-    if m == 1:
-        env["gC1"] = Fraction(1)
-        return env
-    gC = {m: min(Fraction(1), env[f"gA{m}"])}
-    tail = gC[m]
-    for t in range(m - 1, 1, -1):
-        gC[t] = min(env[f"gA{t}"], 1 - tail)
-        tail += gC[t]
-    gC[1] = 1 - tail
-    for t, v in gC.items():
-        env[f"gC{t}"] = v
+    tail = Fraction(0)
+    for t in range(len(gAs), 1, -1):
+        env[f"gC{t}"] = min(env[f"gA{t}"], 1 - tail)
+        tail += env[f"gC{t}"]
+    env["gC1"] = 1 - tail
     return env
 
 

@@ -34,10 +34,6 @@ def _seed(args) -> int:
     return getattr(args, "seed", 0) or 0
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _positive_int(s: str) -> int:
     n = int(s)
     if n < 1:
@@ -189,20 +185,19 @@ def cmd_partition(args) -> int:
 
 
 def cmd_alg_enumerate(args) -> int:
-    gAs = [Fraction(g) for g in args.gamma]
-    if len(gAs) != args.m:
+    if len(args.gamma) != args.m:
         print(f"need {args.m} gamma values", file=sys.stderr)
         return 2
     if not 0 <= args.b <= 1:
         raise ValueError(f"--b must lie in [0, 1], got {args.b}")
-    if min(gAs) < 0:
-        raise ValueError(f"--gamma values must be >= 0, got {min(gAs)}")
-    env = algfamily.derive_gamma_env(Fraction(args.b), gAs)
+    if min(args.gamma) < 0:
+        raise ValueError(f"--gamma values must be >= 0, got {min(args.gamma)}")
+    env = algfamily.derive_gamma_env(args.b, args.gamma)
     specs = algfamily.enumerate_algm(args.m, env)
     report = {
         "m": args.m,
         "b": str(args.b),
-        "gamma": [str(g) for g in gAs],
+        "gamma": [str(g) for g in args.gamma],
         "count": len(specs),
         "specs": [{W: str(v) for W, v in s.items()} for s in specs],
     }
@@ -505,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("partition", help="partition an instance")
     _add_instance_flags(part)
-    part.add_argument("--g", type=_frac, nargs="*", default=[],
+    part.add_argument("--g", type=Fraction, nargs="*", default=[],
                       help="inner thresholds g_1..g_{m-1}")
     part.set_defaults(func=cmd_partition)
 
@@ -513,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     asub = alg.add_subparsers(dest="mode", required=True)
     a = asub.add_parser("enumerate")
     a.add_argument("--m", type=int, required=True)
-    a.add_argument("--b", type=_frac, required=True)
-    a.add_argument("--gamma", type=_frac, nargs="+", required=True)
+    a.add_argument("--b", type=Fraction, required=True)
+    a.add_argument("--gamma", type=Fraction, nargs="+", required=True)
     a.set_defaults(func=cmd_alg_enumerate)
     a = asub.add_parser("chains")
     a.add_argument("--m", type=int, required=True, choices=levels)

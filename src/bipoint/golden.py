@@ -206,20 +206,10 @@ def gap_lower_bound(surplus=0):
 
 # Exact arithmetic in Q[s] / (s^4 - s^2 - 1), s = sqrt(phi): every constant
 # of the construction lives in this field (phi = s^2, l = s^2 - 1, 1/s =
-# s^3 - s), so the vertex identities reduce to coefficient comparisons, and
-# signs, comparisons, floors and floats are exact as well.
-
-
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_q5(p, q) -> int:
-    """Sign of p + q sqrt(5) for rationals p, q."""
-    sp, sq = _sgn(p), _sgn(q)
-    if sp * sq >= 0:
-        return sp or sq
-    return sp * _sgn(p * p - 5 * q * q)
+# s^3 - s), so the vertex identities reduce to coefficient comparisons.
+# Signs, comparisons, floors and floats are settled on rational enclosures
+# of s, which are exact for a rational element and exclude every other value
+# once narrow enough; inverses come from the rational norm.
 
 
 class FieldElt(tuple):
@@ -260,21 +250,16 @@ class FieldElt(tuple):
     __rmul__ = __mul__
 
     def inv(self):
-        # solve self * x = 1 by Gaussian elimination on the 4x4 system
-        cols = [self * FieldElt([1 if i == j else 0 for i in range(4)])
-                for j in range(4)]
-        A = [[cols[j][i] for j in range(4)] + [Fraction(1 if i == 0 else 0)]
-             for i in range(4)]
-        for p in range(4):
-            piv = next(r for r in range(p, 4) if A[r][p] != 0)
-            A[p], A[piv] = A[piv], A[p]
-            inv = 1 / A[p][p]
-            A[p] = [v * inv for v in A[p]]
-            for r in range(4):
-                if r != p and A[r][p] != 0:
-                    f = A[r][p]
-                    A[r] = [v - f * w for v, w in zip(A[r], A[p])]
-        return FieldElt([A[i][4] for i in range(4)])
+        """1 / self, through two conjugations: s -> -s takes self = P + s Q
+        (P, Q in Q(phi)) to P - s Q, and the product N = P^2 - phi Q^2 =
+        u + v phi goes by phi -> 1 - phi to u + v - v phi, which leaves the
+        rational norm u^2 + uv - v^2.  Zero has norm 0 and raises
+        ZeroDivisionError."""
+        a0, a1, a2, a3 = self
+        conj = FieldElt((a0, -a1, a2, -a3))
+        u, _, v, _ = self * conj
+        norm = u * u + u * v - v * v
+        return FieldElt([c / norm for c in conj * FieldElt((u + v, 0, -v, 0))])
 
     def __truediv__(self, o):
         return self * _lift_field(o).inv()
@@ -286,18 +271,10 @@ class FieldElt(tuple):
         return not any(self)
 
     def sign(self) -> int:
-        """Exact sign.  Write self = P + s Q with P = a0 + a2 phi and
-        Q = a1 + a3 phi in Q(sqrt 5); when P and Q have opposite signs the
-        larger of P^2 and phi Q^2 wins, and P^2 - phi Q^2 is self times its
-        conjugate under s -> -s."""
-        a0, a1, a2, a3 = self
-        # phi = 1/2 + sqrt(5)/2
-        sp = _sign_q5(a0 + a2 / 2, a2 / 2)
-        sq = _sign_q5(a1 + a3 / 2, a3 / 2)
-        if sp * sq >= 0:
-            return sp or sq
-        n0, _, n2, _ = self * FieldElt((a0, -a1, a2, -a3))
-        return sp * _sign_q5(n0 + n2 / 2, n2 / 2)
+        """Exact sign, settled on the enclosure."""
+        if self.is_zero():
+            return 0
+        return self._settle(lambda x: (x > 0) - (x < 0))
 
     def __eq__(self, o):
         if not isinstance(o, (FieldElt, int, Fraction)):
@@ -340,7 +317,7 @@ class FieldElt(tuple):
         """f(self) for a non-decreasing step function f of the reals, by
         narrowing the enclosure until f agrees on both ends.  This ends for
         every element: a rational one is enclosed exactly, and an irrational
-        one is neither a float nor an integer."""
+        one is neither a float, an integer nor zero."""
         bits = 64
         while True:
             lo, hi = self._enclosure(bits)

@@ -117,28 +117,21 @@ def _clamp01(x):
 
 def gamma_intervals(box: dict, m: int) -> dict:
     """Enclosures (lo, hi) of every gA/gC over a batch of boxes, via the size
-    recurrence gC_m = min(1, gA_m), gC_t = min(gA_t, 1 - sum_{s>t} gC_s),
-    gC_1 = rest.
+    recurrence gC_t = min(gA_t, 1 - sum_{s>t} gC_s) from t = m down to 2,
+    the tail starting at 0, and gC_1 = 1 - sum_{s>1} gC_s (1 at m = 1).
 
     ``box`` maps each box variable to its (lo, hi) bounds as float arrays with
     a leading box axis (or as floats, for one box).  Element by element the
     steps are those of the ``exprs.Interval`` recurrence (min, max, add and
-    subtract, in the same order), so the enclosures are the same bit for bit.
+    subtract, in the same order; min(gA_m, 1 - 0) is min(1, gA_m)), so the
+    enclosures are the same bit for bit.
     """
     env = dict(box)
-    if m == 1:
-        one = np.ones_like(box["b"][0], dtype=float)
-        env["gC1"] = (one, one)
-        return env
-    tail_lo = tail_hi = 0.0
+    tail_lo = tail_hi = np.zeros_like(box["b"][0], dtype=float)
     for t in range(m, 1, -1):
         lo, hi = env[f"gA{t}"]
-        if t < m:
-            lo = np.minimum(lo, 1.0 - tail_hi)
-            hi = np.minimum(hi, 1.0 - tail_lo)
-        else:
-            lo, hi = np.minimum(1.0, lo), np.minimum(1.0, hi)
-        lo, hi = _clamp01(lo), _clamp01(hi)
+        lo = _clamp01(np.minimum(lo, 1.0 - tail_hi))
+        hi = _clamp01(np.minimum(hi, 1.0 - tail_lo))
         env[f"gC{t}"] = (lo, hi)
         tail_lo, tail_hi = tail_lo + lo, tail_hi + hi
     env["gC1"] = (_clamp01(1.0 - tail_hi), _clamp01(1.0 - tail_lo))
@@ -600,27 +593,29 @@ def initial_boxes(model: NlpModel) -> list:
     return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
-def _run_key(model: NlpModel, target: float, delta: float) -> dict:
-    """What a checkpoint must match to be resumed: the target, the margin and
-    the model, its thresholds as exact fractions."""
-    return {"target": target, "delta": delta, "m": model.m,
+def _run_key(model: NlpModel, target: float) -> dict:
+    """What a checkpoint must match to be resumed: the target, the margin
+    ``DELTA`` and the model, its thresholds as exact fractions."""
+    return {"target": target, "delta": DELTA, "m": model.m,
             "model": model.name,
             "g_bounds": [str(Fraction(g)) for g in model.g_bounds]}
 
 
 def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                      checkpoint: str = None, resume: bool = False,
-                     certificate: str = None, delta: float = DELTA,
-                     log=None) -> BoundCertificate:
+                     certificate: str = None, log=None) -> BoundCertificate:
     """Certify that the NLP optimum over the full domain is at most target.
 
     Best-first worklist (largest LP value first).  A box is a leaf once its
-    LP value + delta <= target; an unsplittable box above target is a
+    LP value + DELTA <= target; an unsplittable box above target is a
     counterexample.  The worklist is checkpointed periodically and the leaves
     streamed to an audit file, one JSON record per line.  A checkpoint holds
-    every box not yet settled, including the one a stopped run ended on, and
-    the length of the audit file it matches, so a resumed run extends the
-    file to a certificate of the whole domain.  It also records the target,
+    every box not yet settled, including the one a stopped run ended on (so
+    it counts the boxes before that one), and the length of the audit file
+    it matches, so a resumed run extends the file to a certificate of the
+    whole domain.  ``budget`` bounds the boxes of this run alone, so a long
+    run goes on in budget-sized steps, while ``boxes_processed`` counts those
+    of every run before it too.  The checkpoint also records the target,
     the margin and the model it was written for; resuming it with any other
     raises ValueError, before the audit file is touched, as does resuming
     onto an audit file that is missing or shorter than the checkpoint
@@ -632,11 +627,11 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         raise ValueError(f"the box budget must be at least 1, not {budget}")
     if resume and not checkpoint:
         raise ValueError("a resumed run needs a checkpoint")
-    processed = 0
+    processed = start = 0  # start: the boxes of the runs before this one
     n_leaves = 0
     heap = []
     counter = 0
-    key = _run_key(model, target, delta)
+    key = _run_key(model, target)
     tally = Counter()
 
     def push(box, value):
@@ -669,12 +664,12 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     cert_fh = open(certificate, "w" if state is None else "a") \
         if certificate else None
 
-    def save_checkpoint():
+    def save_checkpoint(settled):
         if not checkpoint:
             return
         state = {
             **key,
-            "processed": processed,
+            "processed": settled,
             "n_leaves": n_leaves,
             "worklist": [{"box": b, "value": -nv} for nv, _, b in heap],
         }
@@ -688,7 +683,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
 
     def stop(status, box, value):
         push(box, value)  # unsettled: a resumed run takes it up again
-        save_checkpoint()
+        save_checkpoint(processed - 1)
         return BoundCertificate(
             target=target, status=status, boxes_processed=processed,
             n_leaves=n_leaves, worst_box=box, worst_value=value,
@@ -696,7 +691,7 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
 
     try:
         if state is not None:
-            processed = state["processed"]
+            processed = start = state["processed"]
             n_leaves = state["n_leaves"]
             if cert_fh:
                 # drop leaves written after the checkpoint: they are re-derived
@@ -712,13 +707,13 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             neg, _, box = heapq.heappop(heap)
             value = -neg
             processed += 1
-            if value + delta <= target:
+            if value + DELTA <= target:
                 n_leaves += 1
                 if cert_fh:
                     cert_fh.write(json.dumps(
                         {"box": box, "lp_value": value}) + "\n")
             else:
-                if budget is not None and processed >= budget:
+                if budget is not None and processed - start >= budget:
                     return stop("exhausted-budget", box, value)
                 children = _split(box)
                 if not children:
@@ -727,11 +722,11 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                                     _box_values(model, children, tally)):
                     push(child, v)
             if processed % CHECKPOINT_EVERY == 0:
-                save_checkpoint()
+                save_checkpoint(processed)
                 if log:
                     log(f"boxes={processed} worklist={len(heap)} "
                         f"worst={value:.6f}")
-        save_checkpoint()
+        save_checkpoint(processed)
         return BoundCertificate(target=target, status="certified",
                                 boxes_processed=processed, n_leaves=n_leaves,
                                 certificate_path=certificate, **tally)
@@ -789,12 +784,11 @@ def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
     return True
 
 
-def replay_certificate(model: NlpModel, path: str, target: float,
-                       delta: float = DELTA) -> bool:
+def replay_certificate(model: NlpModel, path: str, target: float) -> bool:
     """Check an audit file: its leaves tile the model's domain exactly, and
-    re-solving every leaf LP still clears the target by the margin.  The
-    leaves are enclosed in blocks of ``REPLAY_BLOCK``; the first block with
-    a leaf that fails ends the replay."""
+    re-solving every leaf LP still clears the target by the margin
+    ``DELTA``.  The leaves are enclosed in blocks of ``REPLAY_BLOCK``; the
+    first block with a leaf that fails ends the replay."""
     names = model.box_vars()
     expected = set(names)
     boxes, keys = [], []
@@ -813,7 +807,7 @@ def replay_certificate(model: NlpModel, path: str, target: float,
         return False  # a malformed or truncated record
     if not _leaves_tile_domain(model, keys):
         return False
-    return all(value + delta <= target
+    return all(value + DELTA <= target
                for i in range(0, len(boxes), REPLAY_BLOCK)
                for value in _box_values(model, boxes[i:i + REPLAY_BLOCK]))
 

@@ -56,8 +56,6 @@ def srdr(x, a, t: int, rng: random.Random) -> SrdrResult:
 
     frac = [i for i in range(len(X)) if _is_fractional(X[i])]
     while len(frac) > t:
-        if len(frac) < 2:
-            break
         i, j = rng.sample(frac, 2)
         ai, aj = a[i], a[j]
         # move x_i by +e/ai and x_j by -e/aj (direction "+"); caps keep both in [0,1]

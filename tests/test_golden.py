@@ -412,6 +412,24 @@ def test_field_sign_and_float_match_50_digits(x):
     assert math.floor(x) == int(mpmath.floor(ref))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _elts,
+    st.builds(_near_zero, _elts, st.integers(1, 10 ** 12)),
+).filter(lambda x: not x.is_zero()))
+@example(F_S)
+@example(F_ELL - ELL_Q)
+@example(FieldElt([Fraction(-7, 3), 0, 0, 0]))
+def test_field_inverse(x):
+    assert x * x.inv() == 1
+    assert x / x == 1 and 1 / x == x.inv()
+
+
+def test_field_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        FieldElt([0, 0, 0, 0]).inv()
+
+
 def test_verify_gap_identities_digits_match_mpmath():
     rep = verify_gap_identities()
     with mpmath.workdps(50):

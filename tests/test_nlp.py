@@ -260,8 +260,8 @@ def test_checkpoint_resume(tmp_path):
     assert first.status == "exhausted-budget"
     with open(ck) as fh:
         state = json.load(fh)
-    assert state["processed"] == 60 and state["worklist"]
-    # the box the run stopped on is still to be settled
+    # the box the run stopped on is still to be settled, and not yet counted
+    assert state["processed"] == 59 and state["worklist"]
     stopped = json.loads(json.dumps(first.worst_box))
     assert stopped in [rec["box"] for rec in state["worklist"]]
     resumed = branch_and_bound(model, target=1.33, budget=None,
@@ -269,6 +269,31 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.status == "certified"
     assert resumed.boxes_processed > 60
     assert replay_certificate(model, leaves, target=1.33)
+
+
+def test_resume_in_budget_steps_matches_one_run(tmp_path):
+    """Runs resumed with the stopped run's budget go on in budget-sized
+    steps: each counts the box the last one stopped on once, and together
+    they take the boxes and leaves of one uninterrupted run."""
+    model = model_for_table("alg1", [])
+    whole = str(tmp_path / "whole.ndjson")
+    one = branch_and_bound(model, target=1.37, certificate=whole)
+    assert (one.status, one.boxes_processed, one.n_leaves) == \
+        ("certified", 344, 238)
+    ck, leaves = str(tmp_path / "state.json"), str(tmp_path / "steps.ndjson")
+    steps = [branch_and_bound(model, target=1.37, budget=100, checkpoint=ck,
+                              certificate=leaves)]
+    while steps[-1].status == "exhausted-budget":
+        assert len(steps) < 5
+        steps.append(branch_and_bound(model, target=1.37, budget=100,
+                                      checkpoint=ck, resume=True,
+                                      certificate=leaves))
+    assert len(steps) > 1 and steps[-1].status == "certified"
+    assert (steps[-1].boxes_processed, steps[-1].n_leaves) == (344, 238)
+    assert all(s.lp_solves > 0 for s in steps)
+    with open(whole) as a, open(leaves) as b:
+        assert sorted(a) == sorted(b)
+    assert replay_certificate(model, leaves, target=1.37)
 
 
 def test_resume_after_interrupt_replays(tmp_path, monkeypatch):
@@ -306,7 +331,7 @@ def test_resume_after_interrupt_replays(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("changed", ["target", "delta", "g", "table"])
-def test_resume_refuses_another_run(tmp_path, changed):
+def test_resume_refuses_another_run(tmp_path, monkeypatch, changed):
     """A checkpoint resumes only the run it was written for: at another
     target, margin or model its empty worklist would 'certify' anything."""
     model = model_for_table("alg2", [Fraction("0.6586")])
@@ -320,7 +345,7 @@ def test_resume_refuses_another_run(tmp_path, changed):
     if changed == "target":
         kwargs["target"] = 1.25  # below this model's factor (>= 1.3102)
     elif changed == "delta":
-        kwargs["delta"] = 1e-6
+        monkeypatch.setattr(nlp, "DELTA", 1e-6)
     elif changed == "g":
         model = model_for_table("alg2", [Fraction("0.66")])
     else:
