@@ -343,6 +343,7 @@ def cmd_bound_run(args) -> int:
         "lp_solves": cert.lp_solves,
         "enclose_s": round(cert.enclose_s, 3),
         "solve_s": round(cert.solve_s, 3),
+        "simplex_iterations": cert.simplex_iterations,
         "seconds": round(time.perf_counter() - t0, 3),
     }
     _emit(report, args)

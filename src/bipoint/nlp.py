@@ -10,7 +10,9 @@ p_W (resp. 1 - p_W) in a cost expression is replaced by its upper bound p_W^1
 (resp. 1 - p_W^0); since all these terms carry nonnegative coefficients the
 resulting LP upper-bounds the NLP on the box.  Boxes whose LP value falls
 below the target are certified; the rest are halved per bounded variable
-until the worklist empties.
+until the worklist empties.  The initial boxes' LPs are solved cold, and each
+child's LP starts from the basis its parent's LP ended on; a replay solves
+every leaf cold.
 """
 
 from __future__ import annotations
@@ -347,11 +349,13 @@ class LpProblem:
     ``A`` is stored column-wise: ``values`` holds its entries in the order
     of ``layout``, which holds the bounds too.  An entry may be an explicit
     0, which HiGHS drops.  The LPs of one model share the layout of its
-    ``lp_template``.
+    ``lp_template``.  ``basis``, a ``HighsBasis``, is the basis the solve
+    starts from; with none it starts cold.
     """
 
     layout: LpLayout
     values: np.ndarray
+    basis: object = None
 
     @property
     def A(self) -> np.ndarray:
@@ -376,6 +380,8 @@ class LpProblem:
 class LpSolution:
     status: str  # optimal | infeasible | unbounded | failed
     value: float = -math.inf
+    basis: object = None  # the HighsBasis an optimal solve ended on
+    simplex_iterations: int = 0
 
 
 def lp_columns(m: int) -> list:
@@ -455,8 +461,10 @@ class _HighsSolver:
     are written again only when an LP does not share its layout with the
     one before (the LPs of one model share the layout of its
     ``lp_template``), and each call hands over the matrix values alone.
-    ``passModel`` discards the previous model and its basis, so every solve
-    starts cold and its answer does not depend on the LPs solved before it.
+    ``passModel`` discards the previous model and its basis, so a solve
+    starts cold, or from the LP's own ``basis`` if it has one, and its
+    answer does not depend on the LPs solved before it.  A basis HiGHS
+    refuses (one of another model's size, say) leaves the solve cold.
     Not safe to call from several threads at once.
     """
 
@@ -502,17 +510,21 @@ class _HighsSolver:
         if p.layout is not self._layout:
             self._share(p.layout)
         self._matrix.value_ = p.values.tolist()
-        if highs.passModel(self._lp) == core.HighsStatus.kError or \
-                highs.run() == core.HighsStatus.kError:
+        if highs.passModel(self._lp) == core.HighsStatus.kError:
             return LpSolution(status="failed")
+        if p.basis is not None:
+            # a refused basis changes nothing: the solve starts cold
+            highs.setBasis(p.basis)
+        if highs.run() == core.HighsStatus.kError:
+            return LpSolution(status="failed")
+        # getInfo() would copy every info value, 20 times as slow
+        _, iterations = highs.getInfoValue("simplex_iteration_count")
         status = self._status.get(highs.getModelStatus(), "failed")
         if status == "optimal":
-            return LpSolution(status=status, value=-highs.getObjectiveValue())
-        if status == "infeasible":
-            return LpSolution(status=status, value=-math.inf)
-        if status == "unbounded":
-            return LpSolution(status=status, value=math.inf)
-        return LpSolution(status=status)
+            return LpSolution(status, -highs.getObjectiveValue(),
+                              highs.getBasis(), iterations)
+        return LpSolution(status, math.inf if status == "unbounded"
+                          else -math.inf, simplex_iterations=iterations)
 
 
 _solver = None  # made on the first solve_lp call
@@ -537,31 +549,71 @@ class BoundCertificate:
     certificate_path: str = None
     # where this run's time went (a resumed run counts only its own part):
     # the LPs solved, the seconds spent enclosing boxes into LPs
-    # (relax_to_lp) and the seconds spent solving them (solve_lp)
+    # (relax_to_lp) and the seconds spent solving them (solve_lp), and the
+    # simplex iterations of those solves
     lp_solves: int = 0
     enclose_s: float = 0.0
     solve_s: float = 0.0
+    simplex_iterations: int = 0
 
 
-def _box_values(model, boxes, tally: Counter = None) -> list:
-    """The LP value of each box, the boxes enclosed in one pass.  ``tally``,
-    if given, adds up ``lp_solves``, ``enclose_s`` and ``solve_s``."""
+def _box_solutions(model, boxes, tally: Counter = None,
+                   basis=None) -> list:
+    """The LP solution of each box, the boxes enclosed in one pass and every
+    LP solved from ``basis`` (cold if None).  ``tally``, if given, adds up
+    ``lp_solves``, ``enclose_s``, ``solve_s`` and ``simplex_iterations``."""
     clock = time.perf_counter
     start = clock()
     lps = relax_to_lp(model, boxes)
     enclosed = clock()
-    values = []
+    solutions = []
     for lp in lps:
-        sol = solve_lp(lp)
-        # the box LP is feasible (zero satisfies every row) and bounded
-        # (X <= X_CAP), so any other status is a solver failure: never
-        # trusted, it forces a split
-        values.append(sol.value if sol.status == "optimal" else math.inf)
+        lp.basis = basis
+        solutions.append(solve_lp(lp))
     if tally is not None:
         tally["lp_solves"] += len(lps)
         tally["enclose_s"] += enclosed - start
         tally["solve_s"] += clock() - enclosed
-    return values
+        tally["simplex_iterations"] += sum(
+            sol.simplex_iterations for sol in solutions)
+    return solutions
+
+
+def _value(sol: LpSolution) -> float:
+    # the box LP is feasible (zero satisfies every row) and bounded
+    # (X <= X_CAP), so any other status is a solver failure: never
+    # trusted, it forces a split
+    return sol.value if sol.status == "optimal" else math.inf
+
+
+def _box_values(model, boxes) -> list:
+    """The LP value of each box, each LP solved cold."""
+    return [_value(sol) for sol in _box_solutions(model, boxes)]
+
+
+def _basis_codes(basis):
+    """A HiGHS basis as a checkpoint stores it: the status code of each
+    column and of each row, one digit each; None for no basis."""
+    if basis is None:
+        return None
+    return {"col": "".join(str(int(s)) for s in basis.col_status),
+            "row": "".join(str(int(s)) for s in basis.row_status)}
+
+
+def _basis_from_codes(codes):
+    """The HiGHS basis ``_basis_codes`` wrote, or None."""
+    if codes is None:
+        return None
+    import scipy.optimize._highspy._core as core
+
+    status = core.HighsBasisStatus
+    basis = core.HighsBasis()
+    basis.col_status = [status(int(c)) for c in codes["col"]]
+    basis.row_status = [status(int(c)) for c in codes["row"]]
+    # marked as getBasis marks the basis it hands over, so that a solve
+    # starts from it as it would from that one
+    basis.valid, basis.alien = True, False
+    return basis
 
 
 def _split(box: dict) -> list:
@@ -608,11 +660,15 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
 
     Best-first worklist (largest LP value first).  A box is a leaf once its
     LP value + DELTA <= target; an unsplittable box above target is a
-    counterexample.  The worklist is checkpointed periodically and the leaves
-    streamed to an audit file, one JSON record per line.  A checkpoint holds
-    every box not yet settled, including the one a stopped run ended on (so
-    it counts the boxes before that one), and the length of the audit file
-    it matches, so a resumed run extends the file to a certificate of the
+    counterexample.  The initial boxes' LPs are solved cold and each child's
+    LP from the basis its parent's LP ended on, which the worklist keeps with
+    the parent.  That basis depends on the split tree alone, not on the
+    order of the solves, so neither does any box's value.  The worklist is
+    checkpointed periodically and the leaves streamed to an audit file, one
+    JSON record per line.  A checkpoint holds every box not yet settled,
+    including the one a stopped run ended on (so it counts the boxes before
+    that one), with its basis, and the length of the audit file it
+    matches, so a resumed run extends the file to a certificate of the
     whole domain.  ``budget`` bounds the boxes of this run alone, so a long
     run goes on in budget-sized steps, while ``boxes_processed`` counts those
     of every run before it too.  The checkpoint also records the target,
@@ -634,9 +690,13 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     key = _run_key(model, target)
     tally = Counter()
 
-    def push(box, value):
+    def push(box, value, basis):
         nonlocal counter
-        heapq.heappush(heap, (-value, counter, box))
+        # a leaf is never split, so no child starts from its basis; most
+        # boxes are leaves, and theirs would take 250 bytes each
+        if value + DELTA <= target:
+            basis = None
+        heapq.heappush(heap, (-value, counter, box, basis))
         counter += 1
 
     state = None
@@ -671,7 +731,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             **key,
             "processed": settled,
             "n_leaves": n_leaves,
-            "worklist": [{"box": b, "value": -nv} for nv, _, b in heap],
+            "worklist": [{"box": b, "value": -nv, "basis": _basis_codes(s)}
+                         for nv, _, b, s in heap],
         }
         if cert_fh:
             cert_fh.flush()
@@ -681,8 +742,9 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             json.dump(state, fh)
         os.replace(tmp, checkpoint)
 
-    def stop(status, box, value):
-        push(box, value)  # unsettled: a resumed run takes it up again
+    def stop(status, box, value, basis):
+        # unsettled: a resumed run takes it up again, from the same basis
+        push(box, value, basis)
         save_checkpoint(processed - 1)
         return BoundCertificate(
             target=target, status=status, boxes_processed=processed,
@@ -697,14 +759,15 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                 # drop leaves written after the checkpoint: they are re-derived
                 cert_fh.truncate(state["certificate_bytes"])
             for rec in state["worklist"]:
-                push(rec["box"], rec["value"])
+                push(rec["box"], rec["value"],
+                     _basis_from_codes(rec.get("basis")))
         else:
             boxes = initial_boxes(model)
-            for box, value in zip(boxes, _box_values(model, boxes, tally)):
-                push(box, value)
+            for box, sol in zip(boxes, _box_solutions(model, boxes, tally)):
+                push(box, _value(sol), sol.basis)
 
         while heap:
-            neg, _, box = heapq.heappop(heap)
+            neg, _, box, basis = heapq.heappop(heap)
             value = -neg
             processed += 1
             if value + DELTA <= target:
@@ -714,13 +777,13 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
                         {"box": box, "lp_value": value}) + "\n")
             else:
                 if budget is not None and processed - start >= budget:
-                    return stop("exhausted-budget", box, value)
+                    return stop("exhausted-budget", box, value, basis)
                 children = _split(box)
                 if not children:
-                    return stop("counterexample-box", box, value)
-                for child, v in zip(children,
-                                    _box_values(model, children, tally)):
-                    push(child, v)
+                    return stop("counterexample-box", box, value, basis)
+                for child, sol in zip(children, _box_solutions(
+                        model, children, tally, basis)):
+                    push(child, _value(sol), sol.basis)
             if processed % CHECKPOINT_EVERY == 0:
                 save_checkpoint(processed)
                 if log:

@@ -262,6 +262,7 @@ def test_bound_replay_exit_codes(capsys, tmp_path):
     # the run's layer split
     assert rep["lp_solves"] >= rep["boxes_processed"]
     assert rep["enclose_s"] >= 0 and rep["solve_s"] >= 0
+    assert rep["simplex_iterations"] > 0
     code, out = run_json(capsys, "bound", "replay", *model,
                          "--certificate", str(cert))
     assert code == 0 and out == {"valid": True, "leaves": rep["leaves"]}

@@ -264,6 +264,16 @@ def test_checkpoint_resume(tmp_path):
     assert state["processed"] == 59 and state["worklist"]
     stopped = json.loads(json.dumps(first.worst_box))
     assert stopped in [rec["box"] for rec in state["worklist"]]
+    # every box still to be split keeps the basis its LP ended on, the
+    # stopped one included; a leaf keeps none
+    shape = model.lp_template.layout.shape
+    for rec in state["worklist"]:
+        basis = rec["basis"]
+        if rec["value"] + nlp.DELTA <= 1.33:
+            assert basis is None
+        else:
+            assert (len(basis["row"]), len(basis["col"])) == shape
+    assert any(rec["basis"] is None for rec in state["worklist"])
     resumed = branch_and_bound(model, target=1.33, budget=None,
                                checkpoint=ck, resume=True, certificate=leaves)
     assert resumed.status == "certified"
@@ -429,6 +439,54 @@ def test_alg2_at_1_35_box_counts(cert_135):
     _, _, cert = cert_135
     assert cert.status == "certified"
     assert (cert.boxes_processed, cert.n_leaves) == (926, 690)
+
+
+def _leaf_boxes(path) -> list:
+    return sorted(json.dumps(json.loads(line)["box"])
+                  for line in path.read_text().splitlines())
+
+
+def test_warm_starts_keep_the_leaves_and_cut_iterations(
+        tmp_path, monkeypatch, cert_135):
+    """Every child LP starts from its parent's final basis.  Solved cold
+    instead, the run settles the same leaf boxes, with more simplex
+    iterations."""
+    model, path, warm = cert_135
+    solve = nlp.solve_lp
+
+    def cold(lp):
+        lp.basis = None
+        return solve(lp)
+
+    monkeypatch.setattr(nlp, "solve_lp", cold)
+    cold_path = tmp_path / "cold.ndjson"
+    cert = branch_and_bound(model, target=1.35, certificate=str(cold_path))
+    assert (cert.boxes_processed, cert.n_leaves) == (926, 690)
+    assert _leaf_boxes(cold_path) == _leaf_boxes(path)
+    assert 0 < warm.simplex_iterations < cert.simplex_iterations
+
+
+def test_resume_in_budget_steps_matches_one_run_m2(tmp_path, cert_135):
+    """The m = 2 twin of the m = 1 test: the checkpoint keeps the basis of
+    every box it holds, so the steps solve each LP from the basis one run
+    solves it from and write one run's leaf lines, lp_value bits
+    included."""
+    model, whole, _ = cert_135
+    ck, leaves = str(tmp_path / "state.json"), str(tmp_path / "steps.ndjson")
+    # the 236 boxes split come first, best first, so a budget of 100 stops
+    # twice, at the 100th and the 200th box
+    steps = [branch_and_bound(model, target=1.35, budget=100, checkpoint=ck,
+                              certificate=leaves)]
+    while steps[-1].status == "exhausted-budget":
+        assert len(steps) < 5
+        steps.append(branch_and_bound(model, target=1.35, budget=100,
+                                      checkpoint=ck, resume=True,
+                                      certificate=leaves))
+    assert len(steps) == 3 and steps[-1].status == "certified"
+    assert (steps[-1].boxes_processed, steps[-1].n_leaves) == (926, 690)
+    with open(whole) as a, open(leaves) as b:
+        assert sorted(a) == sorted(b)
+    assert replay_certificate(model, leaves, target=1.35)
 
 
 def test_replay_rejects_a_bad_leaf_in_the_last_block(tmp_path, cert_135):
@@ -839,6 +897,45 @@ def test_direct_highs_reuse_across_models():
         for lp in pair:
             got, want = shared(lp), nlp._HighsSolver()(lp)
             assert (got.status, got.value) == (want.status, want.value)
+
+
+def _bits(sol) -> tuple:
+    return sol.status, np.array(sol.value).tobytes(), sol.simplex_iterations
+
+
+def test_warm_solves_are_history_free():
+    """A solve from a given basis answers as a fresh solver does, bit for
+    bit, whatever LPs the solver solved before, and within 1e-9 of the cold
+    solve."""
+    shared = nlp._HighsSolver()
+    cases = []
+    for table, g in SOLVER_MODELS:
+        model = model_for_table(table, g)
+        lps = relax_to_lp(model, _lp_boxes(model, 29, 10))
+        cold = [nlp._HighsSolver()(lp) for lp in lps]
+        assert all(sol.basis is not None for sol in cold)
+        # each LP from the bases two other boxes ended on
+        cases.append([(lp, cold[i], cold[(i + k) % len(lps)].basis)
+                      for i, lp in enumerate(lps) for k in (1, 5)])
+    for pair in zip(*cases):
+        for lp, cold, basis in pair:
+            lp.basis = basis
+            got, want = shared(lp), nlp._HighsSolver()(lp)
+            assert _bits(got) == _bits(want)
+            assert got.status == "optimal"
+            assert abs(got.value - cold.value) <= 1e-9
+
+
+def test_a_refused_basis_solves_cold():
+    """HiGHS refuses a basis of another model's size; the solve then starts
+    cold and answers as a cold one, bit for bit."""
+    solver = nlp._HighsSolver()
+    lps = [relax_to_lp(model, initial_boxes(model))[0]
+           for model in (model_for_table(t, g) for t, g in SOLVER_MODELS)]
+    other = solver(lps[1]).basis
+    cold = solver(lps[0])
+    lps[0].basis = other
+    assert _bits(solver(lps[0])) == _bits(cold)
 
 
 @pytest.mark.parametrize("formula,why", [
