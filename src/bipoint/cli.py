@@ -62,12 +62,13 @@ def _emit(report, args) -> None:
         print(text)
 
 
-def _load_solution(args):
+def _load_solution(args, seed: int):
+    """The instance of ``--file``, or else the random one of ``seed``."""
     if getattr(args, "file", None):
         return read_instance(args.file)
     return synthesize_random_bipoint(
         n_clients=args.clients, n_f1=args.f1, n_f2=args.f2, k=args.k,
-        seed=_seed(args))
+        seed=seed)
 
 
 def _instance_link(args) -> dict:
@@ -173,7 +174,7 @@ def cmd_gap_brute(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    sol = _load_solution(args)
+    sol = _load_solution(args, _seed(args))
     report = algfamily.partition_report(sol, tuple(args.g))
     report["bipoint"] = validate_bipoint(sol).as_dict()
     report.update(_instance_link(args))
@@ -249,12 +250,8 @@ def cmd_alg_run(args) -> int:
     rng = random.Random(_seed(args))
     records = []
     for trial in range(args.trials):
-        if args.file:
-            sol = read_instance(args.file)
-        else:
-            sol = synthesize_random_bipoint(
-                n_clients=args.clients, n_f1=args.f1, n_f2=args.f2, k=args.k,
-                seed=_seed(args) + trial)
+        if trial == 0 or not args.file:  # one file serves every trial
+            sol = _load_solution(args, _seed(args) + trial)
         forest = algfamily.build_stars(sol)
         if not forest.has_secondary:
             continue
@@ -281,7 +278,7 @@ def cmd_alg_run(args) -> int:
 
 
 def cmd_round_sr(args) -> int:
-    sol = _load_solution(args)
+    sol = _load_solution(args, _seed(args))
     rng = random.Random(_seed(args))
     t = fractional_budget(args.eps)
     open_set = star_round(sol, args.eps, rng)
@@ -419,9 +416,7 @@ def cmd_suite(args) -> int:
     worst = 0.0
     for i in range(args.instances):
         seed = _seed(args) + i
-        sol = synthesize_random_bipoint(
-            n_clients=args.clients, n_f1=args.f1, n_f2=args.f2, k=args.k,
-            seed=seed)
+        sol = _load_solution(args, seed)
         result = algfamily.best_of(sol, args.eps, rng)
         ratio = result.cost / float(sol.cost)
         worst = max(worst, ratio)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .algfamily import instantiate, is_valid, set_size
 from .partition import check_thresholds
+from .rounding import sr_bound
 from .tables import builtin_tables, distinct_params, set_names
 
 X_CAP = 100.0  # safe ceiling on the LP objective; far above any real factor
@@ -669,15 +670,17 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
     including the one a stopped run ended on (so it counts the boxes before
     that one), with its basis, and the length of the audit file it
     matches, so a resumed run extends the file to a certificate of the
-    whole domain.  ``budget`` bounds the boxes of this run alone, so a long
-    run goes on in budget-sized steps, while ``boxes_processed`` counts those
-    of every run before it too.  The checkpoint also records the target,
-    the margin and the model it was written for; resuming it with any other
-    raises ValueError, before the audit file is touched, as does resuming
-    onto an audit file that is missing or shorter than the checkpoint
-    records, or onto any audit file from a checkpoint that records none.
-    A budget below one box, or a resume without a checkpoint, raises
-    ValueError too.
+    whole domain.  ``budget`` counts the boxes of this run alone, popped up
+    to its last split: it is checked only on a box about to be split, and
+    best first pops every such box before any leaf, so leaves never stop a
+    run.  ``boxes_processed`` counts the boxes of every run before it too.
+    The checkpoint also records the target, the margin and the model it
+    was written for; resuming it with any other raises ValueError, before
+    the audit file is touched, as does a worklist box ``_box_key`` refuses,
+    or resuming onto an audit file that is missing or shorter than the
+    checkpoint records, or onto any audit file from a checkpoint that
+    records none.  A budget below one box, or a resume without a
+    checkpoint, raises ValueError too.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"the box budget must be at least 1, not {budget}")
@@ -708,6 +711,10 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         if wrong:
             raise ValueError(f"checkpoint {checkpoint} was written for "
                              f"another run: {', '.join(wrong)}")
+        names = model.box_vars()
+        worklist = [(dict(zip(names, _box_key(rec["box"], names))),
+                     rec["value"], rec.get("basis"))
+                    for rec in state["worklist"]]
         if certificate:
             need = state.get("certificate_bytes")
             have = os.path.getsize(certificate) \
@@ -758,9 +765,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             if cert_fh:
                 # drop leaves written after the checkpoint: they are re-derived
                 cert_fh.truncate(state["certificate_bytes"])
-            for rec in state["worklist"]:
-                push(rec["box"], rec["value"],
-                     _basis_from_codes(rec.get("basis")))
+            for box, value, codes in worklist:
+                push(box, value, _basis_from_codes(codes))
         else:
             boxes = initial_boxes(model)
             for box, sol in zip(boxes, _box_solutions(model, boxes, tally)):
@@ -798,13 +804,21 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             cert_fh.close()
 
 
-def _box_key(box: dict, names) -> tuple:
-    return tuple((float(box[v][0]), float(box[v][1])) for v in names)
+def _box_key(box, names) -> tuple:
+    """A box record as the (lo, hi) float pairs of ``names``, in order.
 
-
-def _inside(inner: tuple, outer: tuple) -> bool:
-    return all(olo <= ilo and ihi <= ohi
-               for (ilo, ihi), (olo, ohi) in zip(inner, outer))
+    Raises ValueError, naming the record, for one that bounds other
+    variables than ``names`` or has a bound that is not a (lo, hi) pair.
+    """
+    if not isinstance(box, dict) or set(box) != set(names):
+        raise ValueError(f"box record {box!r} does not bound exactly "
+                         f"{', '.join(names)}")
+    try:
+        return tuple((float(lo), float(hi)) for lo, hi in
+                     (box[v] for v in names))
+    except (TypeError, ValueError):
+        raise ValueError(f"box record {box!r} has a bound that is not a "
+                         f"(lo, hi) pair of numbers") from None
 
 
 def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
@@ -813,38 +827,26 @@ def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
     tree ends at a leaf, and every leaf ends one branch.
 
     Splits halve intervals, so a leaf equals its tree node exactly, also
-    after a JSON round trip.  Each tree node carries the leaves inside it;
-    a node with none is uncovered, and a leaf that fits no child of its node
-    is not a node of the tree.
+    after a JSON round trip.  The tree is regrown once, depth first: a leaf
+    ends its branch and every other node is split.  A node that cannot be
+    split is a region no leaf covers, which the walk reaches within about 31
+    halvings of entering it.  A leaf the walk never meets is no tree node,
+    or lies inside another leaf, or repeats one.
     """
     names = model.box_vars()
-
-    def distribute(boxes, pending):
-        keys = [_box_key(box, names) for box in boxes]
-        parts = [[] for _ in boxes]
-        for leaf in pending:
-            for key, part in zip(keys, parts):
-                if _inside(leaf, key):
-                    part.append(leaf)
-                    break
-            else:
-                return None
-        return list(zip(boxes, keys, parts))
-
-    work = distribute(initial_boxes(model), leaves)
-    if work is None:
-        return False
+    keys = set(leaves)
+    met = 0
+    work = initial_boxes(model)
     while work:
-        box, key, pending = work.pop()
-        if pending == [key]:
-            continue  # a leaf
-        if not pending or key in pending:
-            return False  # uncovered, or a leaf overlapping another
-        more = distribute(_split(box), pending)
-        if more is None:
-            return False  # unsplittable, or a leaf that is no tree node
-        work.extend(more)
-    return True
+        box = work.pop()
+        if _box_key(box, names) in keys:
+            met += 1
+            continue
+        children = _split(box)
+        if not children:
+            return False
+        work.extend(children)
+    return met == len(leaves)
 
 
 def replay_certificate(model: NlpModel, path: str, target: float) -> bool:
@@ -853,26 +855,19 @@ def replay_certificate(model: NlpModel, path: str, target: float) -> bool:
     ``DELTA``.  The leaves are enclosed in blocks of ``REPLAY_BLOCK``; the
     first block with a leaf that fails ends the replay."""
     names = model.box_vars()
-    expected = set(names)
-    boxes, keys = [], []
     try:
         with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                box = json.loads(line)["box"]
-                if set(box) != expected or \
-                        any(len(box[v]) != 2 for v in names):
-                    return False
-                boxes.append(box)
-                keys.append(_box_key(box, names))
+            keys = [_box_key(json.loads(line)["box"], names)
+                    for line in fh if line.strip()]
     except (ValueError, KeyError, TypeError):
         return False  # a malformed or truncated record
     if not _leaves_tile_domain(model, keys):
         return False
     return all(value + DELTA <= target
-               for i in range(0, len(boxes), REPLAY_BLOCK)
-               for value in _box_values(model, boxes[i:i + REPLAY_BLOCK]))
+               for i in range(0, len(keys), REPLAY_BLOCK)
+               for value in _box_values(model, [
+                   dict(zip(names, key))
+                   for key in keys[i:i + REPLAY_BLOCK]]))
 
 
 # --- point evaluation -------------------------------------------------------
@@ -949,7 +944,7 @@ def evaluate_point(model: NlpModel, env: dict, profile: dict,
             valid[f"chain{i}"] = values
     costs = dict(zip(valid, map(float, point_costs(
         list(valid.values()), env, model.cost_rows, m, profile))))
-    sr_value = float((1 - b) * D1 + b * (3 - 2 * b) * D2)
+    sr_value = float(sr_bound(b, D1, D2))
     pool = {**costs, "SR": sr_value}
     objective = min(pool.values())
     tight = [k for k, v in pool.items() if v <= objective + 1e-3]

@@ -118,7 +118,11 @@ def star_round(sol: BiPointSolution, eps: float, rng: random.Random) -> OpenSet:
     return OpenSet(facilities=frozenset(open_fac))
 
 
+def sr_bound(b, D1, D2):
+    """(1-b) D1 + b (3-2b) D2, the SR bound without its (1+eps) factor."""
+    return (1 - b) * D1 + b * (3 - 2 * b) * D2
+
+
 def sr_cost_bound(sol: BiPointSolution, eps: float):
     """(1+eps) * ((1-b) D1 + b (3-2b) D2)."""
-    b = sol.b
-    return (1 + eps) * ((1 - b) * sol.D1 + b * (3 - 2 * b) * sol.D2)
+    return (1 + eps) * sr_bound(sol.b, sol.D1, sol.D2)

@@ -285,6 +285,32 @@ def test_bound_run_refuses_thresholds_no_partition_has(capsys, g):
     assert "thresholds must be strictly increasing in (0,1)" in captured.err
 
 
+@pytest.mark.parametrize("damage", ["no-gA2", "three-numbers"])
+def test_bound_resume_from_an_unreadable_worklist_box_exits_2(capsys,
+                                                              tmp_path,
+                                                              damage):
+    ck, cert = tmp_path / "state.json", tmp_path / "c.ndjson"
+    args = ("bound", "run", "--m", "2", "--g", "0.6586", "--target", "1.35",
+            "--budget-boxes", "100", "--checkpoint", str(ck),
+            "--certificate", str(cert))
+    code, rep = run_json(capsys, *args)
+    assert code == 1 and rep["status"] == "exhausted-budget"
+    state = json.loads(ck.read_text())
+    box = state["worklist"][0]["box"]
+    if damage == "no-gA2":
+        del box["gA2"]
+    else:
+        box["b"] = [0.0, 0.5, 1.0]
+    ck.write_text(json.dumps(state))
+    cert.write_text('{"box": {"b": [0.0, 1.0]}, "lp_value": 1.0}\n')
+    written = cert.read_bytes()
+    code = main([*args, "--resume"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: box record {box!r}" in captured.err
+    assert cert.read_bytes() == written
+
+
 def test_bound_resume_against_another_target_exits_2(capsys, tmp_path):
     ck, cert = str(tmp_path / "state.json"), str(tmp_path / "c.ndjson")
     args = ("bound", "run", "--m", "2", "--g", "0.6586", "--budget-boxes",

@@ -508,6 +508,36 @@ def test_replay_rejects_a_bad_leaf_in_the_last_block(tmp_path, cert_135):
                               target=values[worst] + nlp.DELTA)
 
 
+def test_replay_splits_each_internal_node_once(monkeypatch, cert_135):
+    """Replay regrows the split tree once: one split per box the run split,
+    none per leaf."""
+    model, path, cert = cert_135
+    calls = [0]
+    split = nlp._split
+
+    def counted(box):
+        calls[0] += 1
+        return split(box)
+
+    monkeypatch.setattr(nlp, "_split", counted)
+    assert replay_certificate(model, str(path), target=1.35)
+    assert calls[0] == cert.boxes_processed - cert.n_leaves == 236
+
+
+def test_budget_counts_the_boxes_popped_up_to_the_last_split(cert_135):
+    """The budget is checked only on a box about to be split, and best first
+    pops the 236 boxes split before any of the 690 leaves: a budget of 236
+    stops the run before its first leaf, and one of 237 lets it settle all
+    926 boxes."""
+    model, _, _ = cert_135
+    short = branch_and_bound(model, target=1.35, budget=236)
+    assert (short.status, short.boxes_processed, short.n_leaves) == \
+        ("exhausted-budget", 236, 0)
+    whole = branch_and_bound(model, target=1.35, budget=237)
+    assert (whole.status, whole.boxes_processed, whole.n_leaves) == \
+        ("certified", 926, 690)
+
+
 @pytest.mark.parametrize("budget", [0, -3])
 def test_branch_and_bound_refuses_a_budget_below_one(budget):
     """A budget under one box would still process one box."""
@@ -548,6 +578,33 @@ def test_resume_refuses_an_audit_file_the_checkpoint_does_not_match(
         branch_and_bound(model, target=1.6, checkpoint=ck, resume=True,
                          certificate=str(other))
     assert (other.read_bytes() if other.exists() else None) == before
+
+
+@pytest.mark.parametrize("damage", ["no-gA2", "three-numbers"])
+def test_resume_refuses_a_worklist_box_it_cannot_read(tmp_path, damage):
+    """The worklist's boxes are read as replay reads leaves, before the
+    audit file is opened: a box without gA2, or with a bound of three
+    numbers, is refused by name, and a leaf written after the checkpoint
+    stays in the file."""
+    model = model_for_table("alg2", [Fraction("0.6586")])
+    ck, leaves = tmp_path / "state.json", tmp_path / "leaves.ndjson"
+    first = branch_and_bound(model, target=1.35, budget=100,
+                             checkpoint=str(ck), certificate=str(leaves))
+    assert first.status == "exhausted-budget"
+    state = json.loads(ck.read_text())
+    box = state["worklist"][-1]["box"]
+    if damage == "no-gA2":
+        del box["gA2"]
+    else:
+        box["b"].append(1.0)
+    ck.write_text(json.dumps(state))
+    leaves.write_text('{"box": {"b": [0.0, 1.0]}, "lp_value": 1.0}\n')
+    written = leaves.read_bytes()
+    with pytest.raises(ValueError) as exc:
+        branch_and_bound(model, target=1.35, checkpoint=str(ck), resume=True,
+                         certificate=str(leaves))
+    assert repr(box) in str(exc.value)
+    assert leaves.read_bytes() == written
 
 
 @pytest.mark.parametrize("budget", [None, 20])
