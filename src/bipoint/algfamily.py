@@ -23,8 +23,8 @@ from .instances import BiPointSolution, OpenSet, connection_cost_float
 from .partition import FacilityPartition, build_partition, build_stars, \
     class_aggregates, classify_clients
 from .rounding import star_round
-# ChainSpec, G_M2 and G_M3 are re-exported: callers read them as
-# algfamily.ChainSpec
+# G_M2 and G_M3 are re-exported: perfbench's Suite.PLANS reads them as
+# algfamily.G_M2 and algfamily.G_M3
 from .tables import CATALOGUE, G_M2, G_M3, ChainSpec, _backed_up, _guards, \
     _size_key, _structurally_valid, builtin_tables, distinct_params, set_names
 

@@ -427,16 +427,15 @@ def build_lp_template(model: NlpModel) -> LpProblem:
 
 
 def relax_to_lp(model: NlpModel, boxes: list) -> list:
-    """The relaxed LP of each box, all boxes enclosed in one pass.
+    """The relaxed LP of each box key, all boxes enclosed in one pass.
 
     Each LP copies the values of ``model.lp_template`` and writes its chain
     block and its b entries; the layout is the template's own.
     """
     m, n_chain, t = model.m, len(model.chains), model.lp_template
-    names = model.box_vars()
-    bounds = np.array([[box[v] for v in names] for box in boxes], dtype=float)
+    bounds = np.array(boxes, dtype=float)  # (box, variable, end)
     env = gamma_intervals({v: (bounds[:, i, 0], bounds[:, i, 1])
-                           for i, v in enumerate(names)}, m)
+                           for i, v in enumerate(model.box_vars())}, m)
     p0, p1 = chain_bounds(model.chain_table, env)
     c1, c2 = relaxed_cost_coeffs(p0, p1, model.cost_rows, m)
 
@@ -617,33 +616,27 @@ def _basis_from_codes(codes):
     return basis
 
 
-def _split(box: dict) -> list:
-    """Halve every bounded variable wider than 1e-9; tails stay whole."""
+def _split(box: tuple) -> list:
+    """The children of a box key, in ``itertools.product`` order: every
+    bounded variable wider than 1e-9 halved, tails whole; [] if none is."""
     axes = []
-    split_any = False
-    for var, (lo, hi) in box.items():
+    for pair in box:
+        lo, hi = pair
         if math.isinf(hi) or hi - lo <= 1e-9:
-            axes.append([(lo, hi)])
+            axes.append([pair])
         else:
             mid = (lo + hi) / 2
             axes.append([(lo, mid), (mid, hi)])
-            split_any = True
-    if not split_any:
-        return []
-    names = list(box)
-    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+    children = list(itertools.product(*axes))
+    return children if len(children) > 1 else []
 
 
 def initial_boxes(model: NlpModel) -> list:
-    """Full domain: b in [0,1], each gamma split into [0,N] and the tail."""
-    axes = []
-    names = model.box_vars()
-    for var in names:
-        if var == "b":
-            axes.append([(0.0, 1.0)])
-        else:
-            axes.append([(0.0, TAIL_N), (TAIL_N, math.inf)])
-    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
+    """The full domain as box keys: b in [0,1], each gamma split into [0,N]
+    and the tail."""
+    return list(itertools.product(*(
+        [(0.0, 1.0)] if var == "b" else [(0.0, TAIL_N), (TAIL_N, math.inf)]
+        for var in model.box_vars())))
 
 
 def _run_key(model: NlpModel, target: float) -> dict:
@@ -688,19 +681,18 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         raise ValueError("a resumed run needs a checkpoint")
     processed = start = 0  # start: the boxes of the runs before this one
     n_leaves = 0
-    heap = []
-    counter = 0
+    heap = []  # (-value, push number, box key, basis)
+    pushes = itertools.count()
     key = _run_key(model, target)
+    names = model.box_vars()
     tally = Counter()
 
     def push(box, value, basis):
-        nonlocal counter
         # a leaf is never split, so no child starts from its basis; most
         # boxes are leaves, and theirs would take 250 bytes each
         if value + DELTA <= target:
             basis = None
-        heapq.heappush(heap, (-value, counter, box, basis))
-        counter += 1
+        heapq.heappush(heap, (-value, next(pushes), box, basis))
 
     state = None
     if resume and os.path.exists(checkpoint):
@@ -711,10 +703,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         if wrong:
             raise ValueError(f"checkpoint {checkpoint} was written for "
                              f"another run: {', '.join(wrong)}")
-        names = model.box_vars()
-        worklist = [(dict(zip(names, _box_key(rec["box"], names))),
-                     rec["value"], rec.get("basis"))
-                    for rec in state["worklist"]]
+        worklist = [(_box_key(rec["box"], names), rec["value"],
+                     rec.get("basis")) for rec in state["worklist"]]
         if certificate:
             need = state.get("certificate_bytes")
             have = os.path.getsize(certificate) \
@@ -738,8 +728,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             **key,
             "processed": settled,
             "n_leaves": n_leaves,
-            "worklist": [{"box": b, "value": -nv, "basis": _basis_codes(s)}
-                         for nv, _, b, s in heap],
+            "worklist": [{"box": _box_record(b, names), "value": -nv,
+                          "basis": _basis_codes(s)} for nv, _, b, s in heap],
         }
         if cert_fh:
             cert_fh.flush()
@@ -755,8 +745,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
         save_checkpoint(processed - 1)
         return BoundCertificate(
             target=target, status=status, boxes_processed=processed,
-            n_leaves=n_leaves, worst_box=box, worst_value=value,
-            certificate_path=certificate, **tally)
+            n_leaves=n_leaves, worst_box=_box_record(box, names),
+            worst_value=value, certificate_path=certificate, **tally)
 
     try:
         if state is not None:
@@ -779,8 +769,8 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             if value + DELTA <= target:
                 n_leaves += 1
                 if cert_fh:
-                    cert_fh.write(json.dumps(
-                        {"box": box, "lp_value": value}) + "\n")
+                    cert_fh.write(json.dumps({"box": _box_record(box, names),
+                                              "lp_value": value}) + "\n")
             else:
                 if budget is not None and processed - start >= budget:
                     return stop("exhausted-budget", box, value, basis)
@@ -804,8 +794,13 @@ def branch_and_bound(model: NlpModel, target: float, budget: int = None,
             cert_fh.close()
 
 
+def _box_record(box: tuple, names) -> dict:
+    """The record of a box key that files and ``worst_box`` hold."""
+    return dict(zip(names, box))
+
+
 def _box_key(box, names) -> tuple:
-    """A box record as the (lo, hi) float pairs of ``names``, in order.
+    """A box record as its key, the (lo, hi) float pairs of ``names``.
 
     Raises ValueError, naming the record, for one that bounds other
     variables than ``names`` or has a bound that is not a (lo, hi) pair.
@@ -833,13 +828,12 @@ def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
     halvings of entering it.  A leaf the walk never meets is no tree node,
     or lies inside another leaf, or repeats one.
     """
-    names = model.box_vars()
     keys = set(leaves)
     met = 0
     work = initial_boxes(model)
     while work:
         box = work.pop()
-        if _box_key(box, names) in keys:
+        if box in keys:
             met += 1
             continue
         children = _split(box)
@@ -850,24 +844,28 @@ def _leaves_tile_domain(model: NlpModel, leaves: list) -> bool:
 
 
 def replay_certificate(model: NlpModel, path: str, target: float) -> bool:
-    """Check an audit file: its leaves tile the model's domain exactly, and
-    re-solving every leaf LP still clears the target by the margin
-    ``DELTA``.  The leaves are enclosed in blocks of ``REPLAY_BLOCK``; the
-    first block with a leaf that fails ends the replay."""
+    """``replay_lines`` on the lines of the audit file ``path``."""
+    with open(path) as fh:
+        return replay_lines(model, fh, target)
+
+
+def replay_lines(model: NlpModel, lines, target: float) -> bool:
+    """Check the leaf records ``lines`` of an audit file, blank lines
+    skipped: their leaves tile the model's domain exactly, and re-solving
+    every leaf LP still clears the target by the margin ``DELTA``.  The
+    leaves are enclosed in blocks of ``REPLAY_BLOCK``; the first block with
+    a leaf that fails ends the replay."""
     names = model.box_vars()
     try:
-        with open(path) as fh:
-            keys = [_box_key(json.loads(line)["box"], names)
-                    for line in fh if line.strip()]
+        keys = [_box_key(json.loads(line)["box"], names)
+                for line in lines if line.strip()]
     except (ValueError, KeyError, TypeError):
         return False  # a malformed or truncated record
     if not _leaves_tile_domain(model, keys):
         return False
     return all(value + DELTA <= target
                for i in range(0, len(keys), REPLAY_BLOCK)
-               for value in _box_values(model, [
-                   dict(zip(names, key))
-                   for key in keys[i:i + REPLAY_BLOCK]]))
+               for value in _box_values(model, keys[i:i + REPLAY_BLOCK]))
 
 
 # --- point evaluation -------------------------------------------------------
@@ -917,8 +915,8 @@ def evaluate_point(model: NlpModel, env: dict, profile: dict,
     # from the chain costs
     kept = {}
     for (z, x, y), d in profile.items():
-        if (z, x, y) not in classes or env.get(f"gA{x}", 1) == 0 or \
-                env.get(f"g{'C' if z == 'C' else 'A'}{y}", 1) == 0:
+        if (z, x, y) not in classes or set_size(f"A{x}", env) == 0 or \
+                set_size(f"{z}{y}", env) == 0:
             if d[0] or d[1]:
                 violations.append(f"mass on empty class {(z, x, y)}")
             continue

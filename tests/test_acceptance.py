@@ -369,7 +369,8 @@ def test_12_soundness_suites():
         model = nlp.model_for_table("alg2", [F(6586, 10000)])
         for _ in range(40):
             box = rand_box(rng, 2)
-            lp = nlp.relax_to_lp(model, [box])[0]
+            lp = nlp.relax_to_lp(model, [
+                nlp._box_key(box, model.box_vars())])[0]
             pt = rand_interior(rng, box)
             env = derive_gamma_env(F(pt["b"]), [F(0), F(pt["gA2"])])
             fenv = {k: float(v) for k, v in env.items()}

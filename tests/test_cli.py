@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -272,6 +273,55 @@ def test_bound_replay_exit_codes(capsys, tmp_path):
     code, out = run_json(capsys, "bound", "replay", *model,
                          "--certificate", str(cert))
     assert code == 1 and out == {"valid": False, "leaves": rep["leaves"] - 1}
+
+
+def test_bound_replay_reads_its_certificate_once(capsys, tmp_path,
+                                                monkeypatch):
+    """`bound replay` counts the leaves from the lines it replays, so it
+    opens the certificate once."""
+    cert = tmp_path / "c.ndjson"
+    model = ("--m", "1", "--target", "1.37")
+    code, rep = run_json(capsys, "bound", *model, "--certificate", str(cert))
+    assert code == 0
+    opened = []
+    real_open = open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    code, out = run_json(capsys, "bound", "replay", *model,
+                         "--certificate", str(cert))
+    assert code == 0 and out == {"valid": True, "leaves": rep["leaves"]}
+    assert opened.count(str(cert)) == 1
+
+
+def test_bound_run_reports_progress_every_checkpoint_interval(capsys,
+                                                              monkeypatch):
+    """`bound run` writes a progress line to stderr every CHECKPOINT_EVERY
+    boxes, and nothing in a shorter run; the report is unchanged."""
+    args = ("bound", "--m", "1", "--target", "1.37")
+    assert main(list(args)) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    monkeypatch.setattr(cli.nlp, "CHECKPOINT_EVERY", 100)
+    assert main(list(args)) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["boxes=100", "boxes=200", "boxes=300"]
+    assert all(re.fullmatch(r"boxes=\d+ worklist=\d+ worst=\d+\.\d{6}", line)
+               for line in lines), lines
+    rep, want = json.loads(captured.out), json.loads(quiet.out)
+    assert (rep["status"], rep["boxes_processed"], rep["leaves"]) == \
+        ("certified", 344, 238)
+    for timing in ("enclose_s", "solve_s", "seconds"):
+        del rep[timing], want[timing]
+    assert rep == want
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--verbose"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("g", [["--m", "2", "--g", "0"],

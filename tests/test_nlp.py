@@ -162,7 +162,8 @@ def test_lp_value_dominates_point_costs():
     model = model_for_table("alg2", [0.6586])
     for _ in range(25):
         box = rand_box(rng, 2)
-        sol = solve_lp(relax_to_lp(model, [box])[0])
+        sol = solve_lp(relax_to_lp(model, [
+            nlp._box_key(box, model.box_vars())])[0])
         if sol.status != "optimal":
             continue
         pt = rand_interior(rng, box)
@@ -185,7 +186,7 @@ def test_relaxed_normalization_feasible_for_true_points():
     model = model_for_table("alg2", [0.6586])
     for _ in range(40):
         box = rand_box(rng, 2)
-        lp = relax_to_lp(model, [box])[0]
+        lp = relax_to_lp(model, [nlp._box_key(box, model.box_vars())])[0]
         pt = rand_interior(rng, box)
         env = derive_gamma_env(Fraction(pt["b"]), [Fraction(0), Fraction(pt["gA2"])])
         fenv = {k: float(v) for k, v in env.items()}
@@ -229,7 +230,7 @@ def test_initial_boxes_cover_domain():
     boxes = initial_boxes(model)
     assert len(boxes) == 4  # two gamma axes, each split [0,N] + tail
     for box in boxes:
-        assert box["b"] == (0.0, 1.0)
+        assert dict(zip(model.box_vars(), box))["b"] == (0.0, 1.0)
 
 
 def test_branch_and_bound_certifies_m2(tmp_path):
@@ -425,6 +426,40 @@ def test_replay_rejects_incomplete_certificates(tmp_path, cert_lines, damage):
     assert replay_certificate(model, str(path), target=1.40)
 
 
+def test_replay_reads_records_by_name(tmp_path, cert_lines):
+    """A record is read by variable name: the certificate with every box
+    record's variables, and its fields, in reverse order still replays."""
+    model = model_for_table("alg2", [0.6586])
+    lines = []
+    for line in cert_lines:
+        rec = json.loads(line)
+        box = dict(reversed(list(rec["box"].items())))
+        assert list(box) == model.box_vars()[::-1]
+        lines.append(json.dumps({"lp_value": rec["lp_value"], "box": box})
+                     + "\n")
+    path = tmp_path / "reordered.ndjson"
+    path.write_text("".join(lines))
+    assert lines != cert_lines
+    assert replay_certificate(model, str(path), target=1.40)
+
+
+def test_box_records_round_trip_to_their_keys():
+    """Each box of the first three levels of the alg3 tree, written as a
+    record and read back through JSON, is its key again, bit for bit."""
+    model = model_for_table("alg3", [Fraction("0.642"), Fraction("0.833")])
+    names = model.box_vars()
+    level = initial_boxes(model)
+    boxes = list(level)
+    for _ in range(2):
+        level = [child for box in level for child in nlp._split(box)]
+        boxes += level
+    assert len(boxes) == 4 + 18 + 100
+    for box in boxes:
+        record = json.loads(json.dumps(nlp._box_record(box, names)))
+        key = nlp._box_key(record, names)
+        assert key == box and repr(key) == repr(box)
+
+
 @pytest.fixture(scope="module")
 def cert_135(tmp_path_factory):
     """The alg2 g=0.6586 run at 1.35 and its certificate."""
@@ -494,7 +529,8 @@ def test_replay_rejects_a_bad_leaf_in_the_last_block(tmp_path, cert_135):
     lines = path.read_text().splitlines(keepends=True)
     assert len(lines) > nlp.REPLAY_BLOCK and \
         len(lines) % nlp.REPLAY_BLOCK != 0  # the last block is a partial one
-    values = nlp._box_values(model, [json.loads(x)["box"] for x in lines])
+    values = nlp._box_values(model, [
+        nlp._box_key(json.loads(x)["box"], model.box_vars()) for x in lines])
     worst = int(np.argmax(values))
     runner_up = max(v for i, v in enumerate(values) if i != worst)
     assert runner_up < values[worst]
@@ -641,7 +677,9 @@ def test_only_an_optimal_lp_certifies_a_box(monkeypatch, status):
 
 def _lp_boxes(model, seed, n):
     rng = random.Random(seed)
-    return initial_boxes(model) + [rand_box(rng, model.m) for _ in range(n)]
+    return initial_boxes(model) + [
+        nlp._box_key(rand_box(rng, model.m), model.box_vars())
+        for _ in range(n)]
 
 
 SOLVER_MODELS = [("alg2", [Fraction("0.6586")]),
@@ -717,7 +755,7 @@ def test_cost_coeffs_bit_identical_to_mixed_arithmetic(table, g):
     model = model_for_table(table, g)
     sets, keys = set_names(model.m), nlp.class_keys(model.m)
     for box in _lp_boxes(model, 11, 30):
-        env = interval_env(box, model.m)
+        env = interval_env(dict(zip(model.box_vars(), box)), model.m)
         pboxes = [{W: as_tree(params[W]).box(env) for W in sets}
                   for params in model.chains]
         bounds = np.array([[_p_bounds(pb[W]) for W in sets] for pb in pboxes])
@@ -786,6 +824,7 @@ def _reference_relax_to_lp(model, box):
     """relax_to_lp as the per-chain loop over ``Expr.box`` it replaced, and
     the names of the LP's columns."""
     m = model.m
+    box = dict(zip(model.box_vars(), box))
     env = interval_env(box, m)
     var_names = ["X", "D1", "D2"]
     idx = {}
@@ -863,7 +902,7 @@ def _search_boxes(model, seed, n):
             else:
                 box[var] = tuple(sorted((rng.uniform(0, hi),
                                          rng.uniform(0, hi))))
-        out.append(box)
+        out.append(nlp._box_key(box, model.box_vars()))
     return out
 
 
